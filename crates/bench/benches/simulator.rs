@@ -127,11 +127,26 @@ fn bench_assembly(c: &mut Criterion) {
             .seed(3),
     )
     .unwrap();
+    // Table 3's size: ~1 M records (~8 MB of `(s, d)` columns) no longer
+    // fit in L2, so each sampled key pays for a load from further out —
+    // the regime a full Table 3 assembly runs in. The 0.5 s run above
+    // (~125 k records, ~1 MB) stays cache-resident.
+    let table3 = ClusterSim::run(
+        &SimConfig::new(base_params())
+            .duration(4.0)
+            .warmup(0.2)
+            .seed(3),
+    )
+    .unwrap();
     let mut g = c.benchmark_group("assembly");
     g.throughput(Throughput::Elements(1_000));
     g.bench_function("requests_n150_1k", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         b.iter(|| assemble_requests(std::hint::black_box(&out), 150, 1_000, &mut rng))
+    });
+    g.bench_function("requests_n150_1k_table3_size", |b| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        b.iter(|| assemble_requests(std::hint::black_box(&table3), 150, 1_000, &mut rng))
     });
     g.finish();
 }

@@ -12,11 +12,11 @@
 //! independence assumption (eq. 10); the [`crate::e2e`] mode exists to
 //! measure what that assumption costs.
 
-use memlat_dist::multinomial_counts;
+use memlat_dist::Multinomial;
 use memlat_stats::{ConfidenceInterval, StreamingStats};
 use rand::RngCore;
 
-use crate::sim::SimOutput;
+use crate::{columns::KeyColumns, sim::SimOutput};
 
 /// One assembled end-user request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,49 +73,144 @@ impl std::fmt::Display for RequestStats {
     }
 }
 
+/// One server's records as assembly reads them: the `s` column plus a
+/// 1-bit-per-record miss map, so that only the picks that missed ever
+/// read the `d` column.
+struct Population<'a> {
+    s: &'a [f32],
+    d: &'a [f32],
+    /// Bit `i % 64` of word `i / 64` is set when record `i` has
+    /// `d.to_bits() != 0`.
+    missed: Vec<u64>,
+}
+
+impl<'a> Population<'a> {
+    fn new(cols: &'a KeyColumns) -> Self {
+        let d = cols.d();
+        let missed = d
+            .chunks(64)
+            .map(|word| {
+                word.iter().enumerate().fold(0u64, |bits, (b, &x)| {
+                    bits | u64::from(x.to_bits() != 0) << b
+                })
+            })
+            .collect();
+        Self {
+            s: cols.s(),
+            d,
+            missed,
+        }
+    }
+
+    #[inline]
+    fn missed(&self, i: usize) -> bool {
+        self.missed[i / 64] >> (i % 64) & 1 != 0
+    }
+}
+
 /// Assembles `requests` synthetic end-user requests of `n` keys each
 /// from a simulation's per-key records.
 ///
 /// # Panics
 ///
-/// Panics if a loaded server recorded no keys (run longer) or `n == 0`.
-pub fn assemble_requests(
+/// Panics if the run kept no per-key records ([`crate::Retention::Summary`]),
+/// if a server with a positive load share recorded no keys (run longer),
+/// or if `n == 0`.
+pub fn assemble_requests<R: RngCore + ?Sized>(
     out: &SimOutput,
     n: u64,
     requests: usize,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
+) -> RequestStats {
+    assemble_columns(
+        out.all_records(),
+        out.shares(),
+        out.network_latency(),
+        n,
+        requests,
+        rng,
+    )
+}
+
+/// Assembles `requests` synthetic end-user requests of `n` keys each
+/// from per-server `(s, d)` columns: server `j` holds `columns[j]` and
+/// receives a `shares[j]` fraction of each request's keys, and every
+/// request pays the constant `network` latency.
+///
+/// Each request draws its per-server key counts, then one record index
+/// per key (`next_u64() % len`), in that order. The maxima use an exact
+/// identity for finite, non-negative records: `s + d ≥ s`, so
+/// `max_i(s_i + d_i) = max(T_S, max over missed keys of s_i + d_i)`, and
+/// a hit's `d` is zero. Only the `s` column is read for every key; the
+/// `d` column is read for the keys that missed.
+///
+/// # Panics
+///
+/// Panics if `shares` is not a probability vector with one entry per
+/// server, if a server with a positive share has no records, or if
+/// `n == 0`.
+pub fn assemble_columns<R: RngCore + ?Sized>(
+    columns: &[KeyColumns],
+    shares: &[f64],
+    network: f64,
+    n: u64,
+    requests: usize,
+    mut rng: &mut R,
 ) -> RequestStats {
     assert!(n > 0, "requests need at least one key");
-    let shares = out.shares().to_vec();
+    assert_eq!(columns.len(), shares.len(), "one share per server");
+    let split = Multinomial::new(shares).expect("shares must be a probability vector");
+    for (j, (cols, &p)) in columns.iter().zip(shares).enumerate() {
+        assert!(
+            p == 0.0 || !cols.is_empty(),
+            "server {j} has load share {p} but recorded no keys"
+        );
+    }
+    let pops: Vec<Population<'_>> = columns.iter().map(Population::new).collect();
+    let mut counts = vec![0u64; shares.len()];
+    let mut picks: Vec<usize> = Vec::new();
     let mut total = StreamingStats::new();
     let mut ts = StreamingStats::new();
     let mut td = StreamingStats::new();
 
     for _ in 0..requests {
-        let counts = multinomial_counts(n, &shares, rng).expect("validated shares");
-        let mut worst_total = 0.0f64;
-        let mut worst_s = 0.0f64;
+        // `&mut R` is itself a sized `RngCore`, so it passes as
+        // `&mut dyn RngCore` even when `R` is unsized.
+        split.sample_into(n, &mut counts, &mut rng);
+        picks.clear();
+        for (pop, &c) in pops.iter().zip(&counts) {
+            let len = pop.s.len() as u64;
+            picks.extend((0..c).map(|_| (rng.next_u64() % len) as usize));
+        }
+
+        // Four independent accumulators keep the loads of `s` from
+        // queueing behind one dependency chain of maxima.
+        let mut s_max = [0.0f32; 4];
         let mut worst_d = 0.0f64;
-        for (j, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
+        let mut worst_missed = 0.0f64;
+        let mut rest = picks.as_slice();
+        for (pop, &c) in pops.iter().zip(&counts) {
+            let (seg, tail) = rest.split_at(c as usize);
+            rest = tail;
+            let mut quads = seg.chunks_exact(4);
+            for q in &mut quads {
+                for (m, &i) in s_max.iter_mut().zip(q) {
+                    *m = m.max(pop.s[i]);
+                }
             }
-            let recs = out.records(j);
-            assert!(
-                !recs.is_empty(),
-                "server {j} has load share {} but recorded no keys",
-                shares[j]
-            );
-            for _ in 0..c {
-                let idx = (rng.next_u64() % recs.len() as u64) as usize;
-                let (s, d) = recs.get(idx);
-                let (s, d) = (f64::from(s), f64::from(d));
-                worst_s = worst_s.max(s);
-                worst_d = worst_d.max(d);
-                worst_total = worst_total.max(s + d);
+            for &i in quads.remainder() {
+                s_max[0] = s_max[0].max(pop.s[i]);
+            }
+            for &i in seg {
+                if pop.missed(i) {
+                    let (s, d) = (f64::from(pop.s[i]), f64::from(pop.d[i]));
+                    worst_d = worst_d.max(d);
+                    worst_missed = worst_missed.max(s + d);
+                }
             }
         }
-        total.push(out.network_latency() + worst_total);
+        let worst_s = f64::from(s_max[0].max(s_max[1]).max(s_max[2].max(s_max[3])));
+        total.push(network + worst_s.max(worst_missed));
         ts.push(worst_s);
         td.push(worst_d);
     }
@@ -124,7 +219,7 @@ pub fn assemble_requests(
         total: ConfidenceInterval::for_mean(&total, 0.95),
         ts: ConfidenceInterval::for_mean(&ts, 0.95),
         td: ConfidenceInterval::for_mean(&td, 0.95),
-        network: out.network_latency(),
+        network,
         requests,
     }
 }
@@ -144,15 +239,15 @@ pub fn assemble_requests(
 ///
 /// Panics if `replicas` is 0 or exceeds the number of loaded servers,
 /// or if a loaded server has no records.
-pub fn assemble_requests_replicated(
+pub fn assemble_requests_replicated<R: RngCore + ?Sized>(
     out: &SimOutput,
     n: u64,
     requests: usize,
     replicas: usize,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> RequestStats {
     assert!(n > 0, "requests need at least one key");
-    let shares = out.shares().to_vec();
+    let shares = out.shares();
     let loaded: Vec<usize> = (0..shares.len())
         .filter(|&j| shares[j] > 0.0 && !out.records(j).is_empty())
         .collect();
@@ -161,6 +256,7 @@ pub fn assemble_requests_replicated(
         "replicas must be in 1..={}, got {replicas}",
         loaded.len()
     );
+    let mut chosen: Vec<usize> = Vec::with_capacity(replicas);
     let mut total = StreamingStats::new();
     let mut ts = StreamingStats::new();
     let mut td = StreamingStats::new();
@@ -172,7 +268,7 @@ pub fn assemble_requests_replicated(
         for _ in 0..n {
             // Pick `replicas` distinct servers uniformly among the loaded
             // ones (replica placement ignores popularity by design).
-            let mut chosen: Vec<usize> = Vec::with_capacity(replicas);
+            chosen.clear();
             while chosen.len() < replicas {
                 let j = loaded[(rng.next_u64() % loaded.len() as u64) as usize];
                 if !chosen.contains(&j) {
@@ -182,7 +278,7 @@ pub fn assemble_requests_replicated(
             let mut best_total = f64::INFINITY;
             let mut best_s = f64::INFINITY;
             let mut best_d = f64::INFINITY;
-            for j in chosen {
+            for &j in &chosen {
                 let recs = out.records(j);
                 let (s, d) = recs.get((rng.next_u64() % recs.len() as u64) as usize);
                 let (s, d) = (f64::from(s), f64::from(d));

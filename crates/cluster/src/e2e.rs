@@ -14,7 +14,7 @@
 //! error — an extension experiment of this reproduction.
 
 use memlat_des::rng::stream_rng;
-use memlat_dist::{multinomial_counts, Exponential};
+use memlat_dist::{Exponential, Multinomial};
 use memlat_stats::{ConfidenceInterval, StreamingStats};
 
 use crate::{
@@ -118,9 +118,11 @@ pub fn run_e2e(cfg: &E2eConfig) -> Result<E2eOutput, SimError> {
     use memlat_dist::Continuous;
     let half_net = params.network_latency() / 2.0;
 
+    let split = Multinomial::new(&shares).expect("validated shares");
+    let mut counts = vec![0u64; shares.len()];
     for req_idx in 0..total_requests {
         clock += gaps.sample(&mut rng);
-        let counts = multinomial_counts(n, &shares, &mut rng).expect("validated shares");
+        split.sample_into(n, &mut counts, &mut rng);
         let mut p = Pending {
             arrival: clock,
             worst_s: 0.0,

@@ -867,11 +867,19 @@ impl SimOutput {
     /// [`Self::db_latency_stats`]) instead.
     #[must_use]
     pub fn records(&self, server: usize) -> &KeyColumns {
-        &self
-            .server_records
-            .as_ref()
+        &self.all_records()[server]
+    }
+
+    /// Every server's `(s, d)` columns, indexed by server.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`Retention::Summary`], as [`Self::records`] does.
+    #[must_use]
+    pub(crate) fn all_records(&self) -> &[KeyColumns] {
+        self.server_records
+            .as_deref()
             .expect("per-key records dropped (Retention::Summary); use the streaming summaries")
-            [server]
     }
 
     /// Per-server streaming summaries (always available).

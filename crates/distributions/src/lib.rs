@@ -65,7 +65,7 @@ pub use generalized_pareto::GeneralizedPareto;
 pub use geometric::GeometricBatch;
 pub use hyperexp::Hyperexponential;
 pub use lognormal::LogNormal;
-pub use multinomial::multinomial_counts;
+pub use multinomial::{multinomial_counts, Multinomial};
 pub use preset::GapLaw;
 pub use uniform::Uniform;
 pub use weibull::Weibull;

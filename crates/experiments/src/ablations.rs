@@ -319,12 +319,11 @@ pub fn ablation_request_law() -> ExpResult {
         // Raw request samples (not just means): draw totals directly.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xabb);
         let mut samples = Vec::with_capacity(requests);
-        let shares = out.shares().to_vec();
+        let split = memlat_dist::Multinomial::new(out.shares()).unwrap();
+        let mut counts = vec![0u64; split.categories()];
         use rand::RngCore;
         for _ in 0..requests {
-            let counts =
-                memlat_dist::multinomial_counts(params.keys_per_request(), &shares, &mut rng)
-                    .unwrap();
+            split.sample_into(params.keys_per_request(), &mut counts, &mut rng);
             let mut worst = 0.0f64;
             for (j, &c) in counts.iter().enumerate() {
                 let recs = out.records(j);

@@ -39,7 +39,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use memlat_dist::multinomial_counts;
+use memlat_dist::Multinomial;
 use memlat_model::{ModelError, ModelParams, ServerLatencyModel};
 use memlat_numerics::special::harmonic;
 use memlat_stats::{ConfidenceInterval, QuantileSketch, StreamingStats};
@@ -632,10 +632,12 @@ fn assemble_requests(
     rng: &mut StdRng,
 ) -> StreamingStats {
     let mut stats = StreamingStats::new();
+    let Ok(split) = Multinomial::new(shares) else {
+        return stats;
+    };
+    let mut counts = vec![0u64; shares.len()];
     for _ in 0..draws {
-        let Ok(counts) = multinomial_counts(n, shares, rng) else {
-            continue;
-        };
+        split.sample_into(n, &mut counts, rng);
         let mut ts = 0f64;
         for (j, &c) in counts.iter().enumerate() {
             let pop = &populations[j];
