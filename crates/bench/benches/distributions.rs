@@ -87,23 +87,6 @@ fn bench_kernels(c: &mut Criterion) {
             std::hint::black_box(out.last().copied())
         })
     });
-    let mut lane = uniforms.clone();
-    g.bench_function("gp_transform_4k", |b| {
-        b.iter(|| {
-            lane.copy_from_slice(&uniforms);
-            memlat_dist::simd::gp_transform(&mut lane, 0.15, 1.185e-4);
-            std::hint::black_box(lane.last().copied())
-        })
-    });
-    let zpop = memlat_workload::ZipfPopularity::new(1 << 18, 1.01).unwrap();
-    let mut keys = Vec::with_capacity(bits.len());
-    g.bench_function("alias_from_bits_4k", |b| {
-        b.iter(|| {
-            zpop.sample_keys_from_bits(&bits, &mut keys);
-            std::hint::black_box(keys.last().copied())
-        })
-    });
-
     // The arrival block, both ways: the pre-PR-9 serial recurrence
     // (`powf` inside the `clock += gap` chain, one dependent iteration
     // per batch) against the speculative pipeline's shape (lane

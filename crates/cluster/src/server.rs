@@ -13,15 +13,15 @@
 //! block`] keys, raw uniforms are banked per key, the uniform→law
 //! transforms and the FCFS Lindley recursion run as tight slice scans,
 //! and whole blocks reach the sink via [`RecordSink::record_block`].
-//! Arrival generation itself is block-shaped too: for single-draw gap
-//! laws the speculative pipeline
-//! ([`BatchArrivals::fill_block_speculative`]) banks raw gap bits,
-//! transforms them through the SIMD kernels, prefix-sums the times off a
-//! carried clock, and patches the horizon boundary by deterministic
+//! Arrival generation itself is block-shaped too: one driver
+//! ([`BatchArrivals::fill_block_speculative`]) stages every gap law. For
+//! the exponential and GP laws it banks raw gap bits, transforms them
+//! through the SIMD kernels, prefix-sums the times off a carried clock,
+//! and patches the horizon boundary by deterministic
 //! over-generate-and-trim — so the serial `t += gap` recurrence no
-//! longer gates throughput. Blocks consume the RNG stream in exactly the
-//! scalar order, so block size can never change the output — only the
-//! wall clock.
+//! longer gates throughput; the other laws draw each gap in place.
+//! Blocks consume the RNG stream in exactly the scalar order, so block
+//! size can never change the output — only the wall clock.
 
 use memlat_des::fcfs::FcfsStation;
 use memlat_des::metrics::{ResilienceCounters, ServerCounters};
@@ -511,10 +511,6 @@ where
                 process_attempt(t, key, &mut st, &mut *decider, &env, rng);
             }
         }
-        // Gap laws with a block bits-kernel (exponential, GP — every law
-        // the paper's sweeps use) take the speculative arrival pipeline;
-        // the data-dependent laws stay on the scalar batch driver.
-        let speculative = arrivals.speculative_supported();
         let key_draws = 1 + usize::from(draw_miss);
         while !done {
             scratch.clear();
@@ -522,10 +518,7 @@ where
             // raw bits of each key's draws in exactly the scalar order:
             // service uniform, then — when r > 0 — the miss uniform. The
             // warm-up loop's first post-warmup batch seeds the first
-            // block; the rest stream through the speculative block
-            // pipeline (or, for multi-draw gap laws, through
-            // `drive_batches_with`, which hoists the gap-law dispatch out
-            // of the per-batch loop).
+            // block; the rest come from the block arrival driver.
             if let Some((t, batch)) = pending.take() {
                 for _ in 0..batch {
                     scratch.arrival.push(t);
@@ -536,62 +529,40 @@ where
                 }
             }
             if scratch.arrival.len() < p.block {
-                if speculative {
-                    // Bank raw gap bits and key bits in scalar draw order,
-                    // transform the gap lane through the SIMD kernels, and
-                    // prefix-sum the arrival times off the carried clock.
-                    // The horizon trim inside rewinds the RNG to exactly
-                    // the scalar stream position.
-                    let BlockScratch {
-                        arrival,
-                        arrival_lanes,
-                        svc_bits,
-                        miss_bits,
-                        ..
-                    } = &mut *scratch;
-                    done = arrivals.fill_block_speculative(
-                        rng,
-                        horizon,
-                        p.block - arrival.len(),
-                        key_draws,
-                        arrival_lanes,
-                        |batch, rng| {
-                            for _ in 0..batch {
-                                svc_bits.push(rng.next_u64());
-                                if draw_miss {
-                                    miss_bits.push(rng.next_u64());
-                                }
-                            }
-                        },
-                    );
-                    // Expand kept batches into the per-key arrival lane,
-                    // then drop the over-generated tail of the key lanes.
-                    for (&t, &b) in arrival_lanes.times().iter().zip(arrival_lanes.sizes()) {
-                        arrival.extend(std::iter::repeat_n(t, b as usize));
-                    }
-                    if done {
-                        svc_bits.truncate(arrival.len());
-                        if draw_miss {
-                            miss_bits.truncate(arrival.len());
-                        }
-                    }
-                } else {
-                    arrivals.drive_batches_with(rng, |t, batch, rng| {
-                        if t >= horizon {
-                            done = true;
-                            return false;
-                        }
-                        scratch
-                            .arrival
-                            .extend(std::iter::repeat_n(t, batch as usize));
+                // The driver leaves the RNG at exactly the scalar stream
+                // position, rewinding past any speculative tail.
+                let BlockScratch {
+                    arrival,
+                    arrival_lanes,
+                    svc_bits,
+                    miss_bits,
+                    ..
+                } = &mut *scratch;
+                done = arrivals.fill_block_speculative(
+                    rng,
+                    horizon,
+                    p.block - arrival.len(),
+                    key_draws,
+                    arrival_lanes,
+                    |batch, rng| {
                         for _ in 0..batch {
-                            scratch.svc_bits.push(rng.next_u64());
+                            svc_bits.push(rng.next_u64());
                             if draw_miss {
-                                scratch.miss_bits.push(rng.next_u64());
+                                miss_bits.push(rng.next_u64());
                             }
                         }
-                        scratch.arrival.len() < p.block
-                    });
+                    },
+                );
+                // Expand kept batches into the per-key arrival lane,
+                // then drop the over-generated tail of the key lanes.
+                for (&t, &b) in arrival_lanes.times().iter().zip(arrival_lanes.sizes()) {
+                    arrival.extend(std::iter::repeat_n(t, b as usize));
+                }
+                if done {
+                    svc_bits.truncate(arrival.len());
+                    if draw_miss {
+                        miss_bits.truncate(arrival.len());
+                    }
                 }
             }
             let n = scratch.arrival.len();

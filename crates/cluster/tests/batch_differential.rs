@@ -84,6 +84,29 @@ fn block_sizes_are_bit_identical_on_fig07_config() {
     assert_block_invariant(params, 0xf17);
 }
 
+/// Every arrival law goes through the one block arrival driver: the
+/// exponential and GP laws stage speculatively over banked gap bits, the
+/// other four draw each gap in place. Either way the output must not
+/// depend on the block size.
+#[test]
+fn block_sizes_are_bit_identical_for_every_arrival_pattern() {
+    use memlat_model::ArrivalPattern;
+    for (i, arrival) in [
+        ArrivalPattern::Poisson,
+        ArrivalPattern::GeneralizedPareto { xi: 0.4 },
+        ArrivalPattern::Deterministic,
+        ArrivalPattern::Erlang { k: 4 },
+        ArrivalPattern::Uniform,
+        ArrivalPattern::Hyperexponential { scv: 4.0 },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let params = ModelParams::builder().arrival(arrival).build().unwrap();
+        assert_block_invariant(params, 0xa77 + i as u64);
+    }
+}
+
 /// Summary retention must agree too: the bulk `push_slice` folds into
 /// the Welford accumulator and sketch must match per-key pushes.
 #[test]

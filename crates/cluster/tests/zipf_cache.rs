@@ -9,9 +9,9 @@
 //! (plus one per keyspace/skew change).
 //!
 //! `memlat_workload::alias_builds()` is a process-global counter, so
-//! this test lives in its own integration-test binary: `cargo test`
-//! runs each integration test file in its own process, keeping the
-//! exact-count assertions interference-free.
+//! this file holds a single test in its own integration-test binary:
+//! `cargo test` runs each integration test file in its own process, and
+//! with one test no sibling thread can build a table mid-count.
 
 use memlat_cluster::{
     CacheBackedConfig, CacheRouting, ClusterSim, MissMode, Retention, SimConfig, SimScratch,
@@ -71,12 +71,10 @@ fn sweep_builds_alias_table_once_per_configuration() {
     )
     .unwrap();
     assert_eq!(alias_builds() - before, 0);
-}
 
-#[test]
-fn cached_popularity_is_bit_identical_to_fresh_build() {
     // The cache must be invisible in the output: a run reusing the
-    // cached table equals a run that built its own from scratch.
+    // cached table equals a run that built its own from scratch. This
+    // part builds tables too, so it runs after the counted sections.
     let a = ClusterSim::run(&cache_cfg(150_000, 1.05, 42)).unwrap();
     let mut scratch = SimScratch::new();
     ClusterSim::run_with(&cache_cfg(150_000, 1.05, 41), &mut scratch).unwrap();

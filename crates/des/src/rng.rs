@@ -28,30 +28,6 @@ pub fn stream_rng(run_seed: u64, stream: u64) -> StdRng {
     StdRng::seed_from_u64(splitmix64(run_seed ^ splitmix64(stream)))
 }
 
-/// Fills `out` with raw `next_u64` draws in order.
-///
-/// The staging half of block-batched sampling: a hot loop banks its raw
-/// draws into a `u64` lane with one call, then applies the pure
-/// uniform-to-law transforms over the slice. Consuming the stream here is
-/// bit-identical to calling `next_u64` at each original draw site.
-///
-/// # Examples
-///
-/// ```
-/// use memlat_des::stream_rng;
-/// use rand::RngCore;
-/// let mut a = stream_rng(7, 0);
-/// let mut b = stream_rng(7, 0);
-/// let mut lane = [0u64; 4];
-/// memlat_des::rng::fill_u64(&mut a, &mut lane);
-/// assert!(lane.iter().all(|&x| x == b.next_u64()));
-/// ```
-pub fn fill_u64<R: rand::RngCore + ?Sized>(rng: &mut R, out: &mut [u64]) {
-    for x in out.iter_mut() {
-        *x = rng.next_u64();
-    }
-}
-
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
 #[must_use]
 pub fn splitmix64(mut z: u64) -> u64 {

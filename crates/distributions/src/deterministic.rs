@@ -55,12 +55,6 @@ impl Deterministic {
     pub fn sample_with<R: RngCore + ?Sized>(&self, _rng: &mut R) -> f64 {
         self.value
     }
-
-    /// Fills `out` with the constant — bit-identical to `out.len()`
-    /// [`Self::sample_with`] calls (no RNG state is consumed).
-    pub fn fill<R: RngCore + ?Sized>(&self, _rng: &mut R, out: &mut [f64]) {
-        out.fill(self.value);
-    }
 }
 
 impl Continuous for Deterministic {

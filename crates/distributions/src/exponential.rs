@@ -66,24 +66,11 @@ impl Exponential {
     /// twin of [`Continuous::sample`], bit-identical draw for draw.
     ///
     /// Uses the deterministic [`crate::simd::dln`] kernel so that scalar
-    /// draws, bulk [`Self::fill`] blocks, and the AVX2 path all produce the
+    /// draws and the AVX2 [`crate::simd::exp_from_bits`] lane produce the
     /// same bits.
     #[inline]
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         -crate::simd::dln(open_unit(rng)) / self.rate
-    }
-
-    /// Fills `out` with samples — bit-identical to `out.len()` successive
-    /// [`Self::sample_with`] calls on the same RNG state.
-    ///
-    /// The uniforms are staged into the slice first (consuming the RNG in
-    /// the scalar draw order), then the `ln` transform runs over the whole
-    /// block through the SIMD-dispatched kernel.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for u in out.iter_mut() {
-            *u = open_unit(rng);
-        }
-        crate::simd::exp_transform(out, self.rate);
     }
 }
 

@@ -95,19 +95,6 @@ impl Gamma {
         }
     }
 
-    /// Fills `out` with samples — bit-identical to `out.len()` successive
-    /// [`Self::sample_with`] calls on the same RNG state.
-    ///
-    /// Marsaglia–Tsang is a rejection sampler: each sample consumes a
-    /// data-dependent number of draws, so the uniforms cannot be staged
-    /// ahead of the transform. This is the scalar sampler in a loop,
-    /// provided so every law shares the block entry point.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for x in out.iter_mut() {
-            *x = self.sample_with(rng);
-        }
-    }
-
     /// Marsaglia–Tsang sampler for shape ≥ 1.
     fn sample_shape_ge_one<R: RngCore + ?Sized>(shape: f64, rng: &mut R) -> f64 {
         let d = shape - 1.0 / 3.0;

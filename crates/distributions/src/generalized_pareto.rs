@@ -127,33 +127,10 @@ impl GeneralizedPareto {
             -self.sigma * crate::simd::dln(u)
         } else {
             // Inverse CDF with 1-U ~ U: ((U^{-ξ}) − 1) σ/ξ, computed as the
-            // deterministic `dexp(-ξ·dln(u))` composition so the scalar
-            // reference, [`Self::fill`], and the AVX2 `gp_from_bits` /
-            // `gp_transform` lane kernels all produce the same bits. (PR 8
-            // kept this draw on libm `powf` — ~20% shorter dependency chain
-            // on the then-serial `t += gap` recurrence — but the speculative
-            // block arrival pipeline turned gap generation into a lane
-            // problem, where the shared composition wins and bit-identity
-            // across scalar/SIMD becomes load-bearing.)
+            // deterministic `dexp(-ξ·dln(u))` composition (not libm `powf`)
+            // so the scalar reference and the AVX2 `gp_from_bits` lane
+            // kernel behind [`Self::fill_from_bits`] produce the same bits.
             self.sigma_over_xi * (crate::simd::dexp(-self.xi * crate::simd::dln(u)) - 1.0)
-        }
-    }
-
-    /// Fills `out` with samples — bit-identical to `out.len()` successive
-    /// [`Self::sample_with`] calls on the same RNG state.
-    ///
-    /// The uniforms are staged first (scalar draw order), then the
-    /// inverse-CDF transform runs branch-hoisted over the whole block
-    /// through the SIMD-dispatched kernels: `exp_scale_transform` for the
-    /// `ξ = 0` exponential limit, `gp_transform` for the power law.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for u in out.iter_mut() {
-            *u = open_unit(rng);
-        }
-        if self.xi == 0.0 {
-            crate::simd::exp_scale_transform(out, self.sigma);
-        } else {
-            crate::simd::gp_transform(out, self.xi, self.sigma_over_xi);
         }
     }
 

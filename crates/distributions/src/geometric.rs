@@ -75,24 +75,6 @@ impl GeometricBatch {
         let n = (crate::simd::dln(1.0 - u) / self.ln_q).ceil();
         (n as u64).max(1)
     }
-
-    /// Fills `out` with batch sizes — bit-identical to `out.len()`
-    /// successive [`Self::sample_with`] calls on the same RNG state.
-    ///
-    /// For `q = 0` no RNG state is consumed (matching the scalar fast
-    /// path); otherwise raw `next_u64` draws are staged into the slice in
-    /// scalar order and the inverse-CDF transform (including the `n = 1`
-    /// compare-only fast path) runs over the whole block.
-    pub fn fill_u64<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
-        if self.q == 0.0 {
-            out.fill(1);
-            return;
-        }
-        for b in out.iter_mut() {
-            *b = rng.next_u64();
-        }
-        crate::simd::geometric_transform(out, self.q, self.ln_q);
-    }
 }
 
 impl Discrete for GeometricBatch {

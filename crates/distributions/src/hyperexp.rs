@@ -117,19 +117,6 @@ impl Hyperexponential {
         // Floating-point slack: fall through to the last phase.
         -crate::simd::dln(open_unit(rng)) / *self.rates.last().expect("non-empty")
     }
-
-    /// Fills `out` with samples — bit-identical to `out.len()` successive
-    /// [`Self::sample_with`] calls on the same RNG state.
-    ///
-    /// The phase-selection draw makes the second uniform's transform
-    /// data-dependent (each sample's rate depends on its own first draw),
-    /// so there is no lane to batch: this is the scalar sampler in a
-    /// loop, provided so every law shares the block entry point.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for x in out.iter_mut() {
-            *x = self.sample_with(rng);
-        }
-    }
 }
 
 impl Continuous for Hyperexponential {

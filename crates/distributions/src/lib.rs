@@ -237,9 +237,8 @@ pub fn open_unit_from_bits(raw: u64) -> f64 {
 }
 
 /// Boxed distributions forward the whole trait (including the
-/// closed-form `laplace`/`quantile` overrides of the inner type), so
-/// generic samplers like `BatchArrivals<G>` accept `Box<dyn Continuous>`
-/// and concrete laws alike.
+/// closed-form `laplace`/`quantile` overrides of the inner type), so a
+/// `Box<dyn Continuous>` behaves exactly like the law it holds.
 impl<T: Continuous + ?Sized> Continuous for Box<T> {
     fn cdf(&self, t: f64) -> f64 {
         (**self).cdf(t)

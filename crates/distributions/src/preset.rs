@@ -70,30 +70,11 @@ impl GapLaw {
         }
     }
 
-    /// Fills `out` with gaps, dispatching the variant **once per block**
-    /// instead of once per draw — bit-identical to `out.len()` successive
-    /// [`GapLaw::sample_with`] calls on the same RNG state.
-    ///
-    /// Single-uniform variants (exponential, Generalized Pareto, uniform,
-    /// deterministic) stage their uniforms and run the transform over the
-    /// whole slice; the data-dependent samplers (Erlang, hyperexponential)
-    /// fall back to the scalar loop inside their own `fill`.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        match self {
-            GapLaw::Exponential(d) => d.fill(rng, out),
-            GapLaw::GeneralizedPareto(d) => d.fill(rng, out),
-            GapLaw::Deterministic(d) => d.fill(rng, out),
-            GapLaw::Erlang(d) => d.fill(rng, out),
-            GapLaw::Uniform(d) => d.fill(rng, out),
-            GapLaw::Hyperexponential(d) => d.fill(rng, out),
-        }
-    }
-
     /// Whether this law draws exactly one raw `next_u64` per gap **and**
-    /// has a block bits-kernel ([`GapLaw::gaps_from_bits`]) — the
-    /// dispatch gate of the speculative block arrival pipeline. The
-    /// data-dependent laws (Erlang, hyperexponential) and the zero-draw
-    /// deterministic law stay on the scalar batch driver.
+    /// has a block bits-kernel ([`GapLaw::gaps_from_bits`]), so the block
+    /// arrival driver can bank its raw draws and stage speculatively. It
+    /// draws the other laws (deterministic, Erlang, uniform,
+    /// hyperexponential) in place instead.
     #[must_use]
     pub fn has_bits_kernel(&self) -> bool {
         matches!(self, GapLaw::Exponential(_) | GapLaw::GeneralizedPareto(_))

@@ -15,12 +15,12 @@
 //! reference *by construction* — the differential suites then prove it
 //! empirically.
 //!
-//! Since the speculative block arrival pipeline landed, the gap laws are
-//! lane-shaped too: `exp_from_bits`/`exp_scale_from_bits`/`gp_from_bits`
-//! transform banked raw gap draws as whole slices, so the GP power law now
-//! runs through `dexp(-ξ·dln u)` everywhere (PR 8's `powf`-stays-serial
-//! negative result no longer applies — the serial recurrence it was
-//! measured on is gone).
+//! The kernels all read raw RNG bits banked in scalar draw order:
+//! [`exp_from_bits`] is the exponential service lane, [`exp_scale_from_bits`]
+//! and [`gp_from_bits`] are the Generalized Pareto gap lanes of the
+//! speculative arrival pipeline, and [`sketch_bins`] is the quantile
+//! sketch's log-bin lane. The GP power law runs through `dexp(-ξ·dln u)` in
+//! the scalar sampler too, so every gap draw has one definition.
 //!
 //! Dispatch is resolved once at first use: x86-64 with AVX2 detected at
 //! runtime takes the vector path unless `MEMLAT_NO_SIMD` is set in the
@@ -218,24 +218,6 @@ fn exp_from_bits_scalar(bits: &[u64], rate: f64, dst: &mut [f64]) {
     }
 }
 
-/// Transforms staged `(0, 1)` uniforms into `Exp(rate)` samples in place:
-/// `x <- -dln(x) / rate`.
-pub fn exp_transform(xs: &mut [f64], rate: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_AVX2 {
-        // SAFETY: AVX2 presence established at dispatch init.
-        unsafe { avx2::exp_transform(xs, rate) };
-        return;
-    }
-    exp_transform_scalar(xs, rate);
-}
-
-fn exp_transform_scalar(xs: &mut [f64], rate: f64) {
-    for x in xs.iter_mut() {
-        *x = -dln(*x) / rate;
-    }
-}
-
 /// Appends `-sigma * dln(open_unit_from_bits(b))` for every `b` in `bits`
 /// onto `out` — the GP `ξ = 0` exponential-limit gap lane of the
 /// speculative arrival pipeline.
@@ -282,68 +264,6 @@ fn gp_from_bits_scalar(bits: &[u64], xi: f64, sigma_over_xi: f64, dst: &mut [f64
     }
 }
 
-/// Transforms staged `(0, 1)` uniforms into Generalized Pareto samples in
-/// place — the `ξ > 0` inverse CDF `x <- (σ/ξ)(u^{-ξ} − 1)`, computed as
-/// `dexp(-ξ · dln(u))` so the power law shares the deterministic kernels.
-pub fn gp_transform(xs: &mut [f64], xi: f64, sigma_over_xi: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_AVX2 {
-        // SAFETY: AVX2 presence established at dispatch init.
-        unsafe { avx2::gp_transform(xs, xi, sigma_over_xi) };
-        return;
-    }
-    gp_transform_scalar(xs, xi, sigma_over_xi);
-}
-
-fn gp_transform_scalar(xs: &mut [f64], xi: f64, sigma_over_xi: f64) {
-    for x in xs.iter_mut() {
-        *x = sigma_over_xi * (dexp(-xi * dln(*x)) - 1.0);
-    }
-}
-
-/// Transforms staged `Exp(1)`-style uniforms into `-sigma * dln(u)` in
-/// place — the GP `ξ = 0` exponential limit (scale form).
-pub fn exp_scale_transform(xs: &mut [f64], sigma: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_AVX2 {
-        // SAFETY: AVX2 presence established at dispatch init.
-        unsafe { avx2::exp_scale_transform(xs, sigma) };
-        return;
-    }
-    exp_scale_transform_scalar(xs, sigma);
-}
-
-fn exp_scale_transform_scalar(xs: &mut [f64], sigma: f64) {
-    for x in xs.iter_mut() {
-        *x = -sigma * dln(*x);
-    }
-}
-
-/// Transforms staged raw RNG draws into geometric batch sizes in place,
-/// reproducing `GeometricBatch::sample_with` bit for bit (including the
-/// compare-only `n = 1` fast path). Requires `q > 0` (`ln_q = ln(q)`).
-pub fn geometric_transform(vals: &mut [u64], q: f64, ln_q: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_AVX2 {
-        // SAFETY: AVX2 presence established at dispatch init.
-        unsafe { avx2::geometric_transform(vals, q, ln_q) };
-        return;
-    }
-    geometric_transform_scalar(vals, q, ln_q);
-}
-
-fn geometric_transform_scalar(vals: &mut [u64], q: f64, ln_q: f64) {
-    for b in vals.iter_mut() {
-        let u = open_unit_from_bits(*b);
-        *b = if u <= 1.0 - q {
-            1
-        } else {
-            let n = (dln(1.0 - u) / ln_q).ceil();
-            (n as u64).max(1)
-        };
-    }
-}
-
 /// Writes `dln(x) / ln_gamma` for every `x` in `xs` into `dst` — the
 /// log-bin lane of the quantile sketch's block push. Elements outside
 /// `[lo, f64::MAX]` (underflow, infinities, NaN) are substituted with a
@@ -372,43 +292,6 @@ fn sketch_bins_scalar(xs: &[f64], ln_gamma: f64, lo: f64, dst: &mut [f64]) {
     }
 }
 
-/// Bulk Vose alias-table lookup: for each raw draw `b`, appends the sampled
-/// index (`i` or `alias[i]`) onto `out`, bit-identical to the scalar
-/// per-draw walk. `prob` and `alias` must have equal, non-zero length.
-///
-/// # Panics
-///
-/// Panics if `prob` and `alias` differ in length or are empty.
-pub fn alias_from_bits(prob: &[f64], alias: &[u32], bits: &[u64], out: &mut Vec<u64>) {
-    assert_eq!(prob.len(), alias.len(), "alias table slices must match");
-    assert!(!prob.is_empty(), "alias table must be non-empty");
-    let start = out.len();
-    out.resize(start + bits.len(), 0);
-    let dst = &mut out[start..];
-    #[cfg(target_arch = "x86_64")]
-    if mode() == MODE_AVX2 && prob.len() <= i32::MAX as usize {
-        // SAFETY: AVX2 presence established at dispatch init; gather
-        // indices are clamped to `prob.len() - 1` which fits i32.
-        unsafe { avx2::alias_from_bits(prob, alias, bits, dst) };
-        return;
-    }
-    alias_from_bits_scalar(prob, alias, bits, dst);
-}
-
-fn alias_from_bits_scalar(prob: &[f64], alias: &[u32], bits: &[u64], dst: &mut [u64]) {
-    let n = prob.len();
-    for (o, &b) in dst.iter_mut().zip(bits) {
-        let x = open_unit_from_bits(b) * n as f64;
-        let i = (x as usize).min(n - 1);
-        let v = x - i as f64;
-        *o = if v < prob[i] {
-            i as u64
-        } else {
-            u64::from(alias[i])
-        };
-    }
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 twins
 // ---------------------------------------------------------------------------
@@ -417,10 +300,10 @@ fn alias_from_bits_scalar(prob: &[f64], alias: &[u32], bits: &[u64], dst: &mut [
 mod avx2 {
     //! 4-lane AVX2 implementations. Every lane op is elementwise IEEE-754
     //! identical to the scalar reference (loads, `add/sub/mul/div`, integer
-    //! shifts/masks, truncating converts, `round` with explicit mode, and
-    //! gathers; no FMA anywhere), so these produce the same bits as the
-    //! scalar functions above — verified by the `kernels_match_scalar` test
-    //! battery and the cross-crate differential suites.
+    //! shifts/masks, compares, blends and truncating converts; no FMA
+    //! anywhere), so these produce the same bits as the scalar functions
+    //! above — verified by the `*_matches_scalar` unit tests and the
+    //! cross-crate differential suites.
 
     use super::{INV_LN2, LG1, LG2, LG3, LG4, LG5, LG6, LG7, LN2_HI, LN2_LO, P1, P2, P3, P4, P5};
     use core::arch::x86_64::*;
@@ -541,35 +424,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn exp_transform(xs: &mut [f64], rate: f64) {
-        let n = xs.len();
-        let vrate = _mm256_set1_pd(rate);
-        let neg = _mm256_set1_pd(-0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let u = _mm256_loadu_pd(xs.as_ptr().add(i));
-            let l = _mm256_xor_pd(dln4(u), neg);
-            _mm256_storeu_pd(xs.as_mut_ptr().add(i), _mm256_div_pd(l, vrate));
-            i += 4;
-        }
-        super::exp_transform_scalar(&mut xs[i..], rate);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn exp_scale_transform(xs: &mut [f64], sigma: f64) {
-        let n = xs.len();
-        let vnsig = _mm256_set1_pd(-sigma);
-        let mut i = 0;
-        while i + 4 <= n {
-            let u = _mm256_loadu_pd(xs.as_ptr().add(i));
-            // Scalar is `-sigma * dln(u)`: one multiply by (-sigma).
-            _mm256_storeu_pd(xs.as_mut_ptr().add(i), _mm256_mul_pd(vnsig, dln4(u)));
-            i += 4;
-        }
-        super::exp_scale_transform_scalar(&mut xs[i..], sigma);
-    }
-
-    #[target_feature(enable = "avx2")]
     pub unsafe fn exp_scale_from_bits(bits: &[u64], sigma: f64, dst: &mut [f64]) {
         let n = bits.len();
         let vnsig = _mm256_set1_pd(-sigma);
@@ -606,26 +460,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gp_transform(xs: &mut [f64], xi: f64, sigma_over_xi: f64) {
-        let n = xs.len();
-        let vnxi = _mm256_set1_pd(-xi);
-        let vsox = _mm256_set1_pd(sigma_over_xi);
-        let one = _mm256_set1_pd(1.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let u = _mm256_loadu_pd(xs.as_ptr().add(i));
-            // Scalar: sigma_over_xi * (dexp((-xi) * dln(u)) - 1.0).
-            let e = dexp4(_mm256_mul_pd(vnxi, dln4(u)));
-            _mm256_storeu_pd(
-                xs.as_mut_ptr().add(i),
-                _mm256_mul_pd(vsox, _mm256_sub_pd(e, one)),
-            );
-            i += 4;
-        }
-        super::gp_transform_scalar(&mut xs[i..], xi, sigma_over_xi);
-    }
-
-    #[target_feature(enable = "avx2")]
     pub unsafe fn sketch_bins(xs: &[f64], ln_gamma: f64, lo: f64, dst: &mut [f64]) {
         let n = xs.len();
         let vlo = _mm256_set1_pd(lo);
@@ -647,71 +481,6 @@ mod avx2 {
             i += 4;
         }
         super::sketch_bins_scalar(&xs[i..], ln_gamma, lo, &mut dst[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn geometric_transform(vals: &mut [u64], q: f64, ln_q: f64) {
-        let n = vals.len();
-        let one = _mm256_set1_pd(1.0);
-        let thresh = _mm256_set1_pd(1.0 - q);
-        let vlnq = _mm256_set1_pd(ln_q);
-        let mut i = 0;
-        let mut lanes = [0.0f64; 4];
-        while i + 4 <= n {
-            let raw = _mm256_loadu_si256(vals.as_ptr().add(i).cast());
-            let u = open_unit4(raw);
-            // fast-path mask: u <= 1 - q  ->  n = 1
-            let fast = _mm256_cmp_pd::<_CMP_LE_OQ>(u, thresh);
-            let lnp = dln4(_mm256_sub_pd(one, u));
-            let nf = _mm256_round_pd::<{ _MM_FROUND_TO_POS_INF | _MM_FROUND_NO_EXC }>(
-                _mm256_div_pd(lnp, vlnq),
-            );
-            let mask = _mm256_movemask_pd(fast);
-            _mm256_storeu_pd(lanes.as_mut_ptr(), nf);
-            // The f64 -> u64 saturating cast is left to the scalar `as`
-            // operator so its edge semantics match the reference exactly.
-            for (lane, x) in lanes.iter().enumerate() {
-                vals[i + lane] = if mask & (1 << lane) != 0 {
-                    1
-                } else {
-                    (*x as u64).max(1)
-                };
-            }
-            i += 4;
-        }
-        super::geometric_transform_scalar(&mut vals[i..], q, ln_q);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn alias_from_bits(prob: &[f64], alias: &[u32], bits: &[u64], dst: &mut [u64]) {
-        let n = bits.len();
-        let len = prob.len();
-        let vn = _mm256_set1_pd(len as f64);
-        let maxi = _mm_set1_epi32((len - 1) as i32);
-        let mut i = 0;
-        while i + 4 <= n {
-            let raw = _mm256_loadu_si256(bits.as_ptr().add(i).cast());
-            let x = _mm256_mul_pd(open_unit4(raw), vn);
-            // Scalar: i = (x as usize).min(len - 1); truncating convert +
-            // min are the same operations lanewise.
-            let idx = _mm_min_epi32(_mm256_cvttpd_epi32(x), maxi);
-            let v = _mm256_sub_pd(x, _mm256_cvtepi32_pd(idx));
-            let p = _mm256_i32gather_pd::<8>(prob.as_ptr(), idx);
-            let take_idx = _mm256_cmp_pd::<_CMP_LT_OQ>(v, p);
-            let al = _mm_i32gather_epi32::<4>(alias.as_ptr().cast::<i32>(), idx);
-            // Indices and alias targets are < 2^20, so the i32 -> i64
-            // widenings below are zero-extensions in effect.
-            let idx64 = _mm256_cvtepi32_epi64(idx);
-            let al64 = _mm256_cvtepi32_epi64(al);
-            let sel = _mm256_blendv_pd(
-                _mm256_castsi256_pd(al64),
-                _mm256_castsi256_pd(idx64),
-                take_idx,
-            );
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_castpd_si256(sel));
-            i += 4;
-        }
-        super::alias_from_bits_scalar(prob, alias, &bits[i..], &mut dst[i..]);
     }
 }
 
@@ -789,88 +558,35 @@ mod tests {
 
     const LENS: [usize; 7] = [0, 1, 3, 4, 7, 37, 1024];
 
-    #[test]
-    fn exp_kernels_match_scalar() {
-        for &n in &LENS {
-            let bits = random_bits(n, n as u64 + 1);
-            let mut simd_out = Vec::new();
-            exp_from_bits(&bits, 80_000.0, &mut simd_out);
-            let mut scalar_out = vec![0.0; n];
-            exp_from_bits_scalar(&bits, 80_000.0, &mut scalar_out);
-            assert_eq!(
-                simd_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-
-            let uniforms: Vec<f64> = bits.iter().map(|&b| open_unit_from_bits(b)).collect();
-            let mut a = uniforms.clone();
-            let mut b = uniforms.clone();
-            exp_transform(&mut a, 3.25);
-            exp_transform_scalar(&mut b, 3.25);
-            assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-
-            let mut a = uniforms.clone();
-            let mut b = uniforms.clone();
-            exp_scale_transform(&mut a, 1.6e-5);
-            exp_scale_transform_scalar(&mut b, 1.6e-5);
-            assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-
-            let mut a = uniforms.clone();
-            let mut b = uniforms;
-            gp_transform(&mut a, 0.15, (1.0 - 0.15) / 56_250.0 / 0.15);
-            gp_transform_scalar(&mut b, 0.15, (1.0 - 0.15) / 56_250.0 / 0.15);
-            assert_eq!(
-                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-        }
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(
+            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "{what}"
+        );
     }
 
     #[test]
-    fn gap_bits_kernels_match_scalar() {
+    fn bits_kernels_match_scalar() {
+        let (xi, sox) = (0.15, (1.0 - 0.15) / 56_250.0 / 0.15);
         for &n in &LENS {
             let bits = random_bits(n, 4_200 + n as u64);
+            let mut scalar_out = vec![0.0; n];
+
+            let mut simd_out = Vec::new();
+            exp_from_bits(&bits, 80_000.0, &mut simd_out);
+            exp_from_bits_scalar(&bits, 80_000.0, &mut scalar_out);
+            assert_same_bits(&simd_out, &scalar_out, &format!("exp n={n}"));
 
             let mut simd_out = Vec::new();
             exp_scale_from_bits(&bits, 1.6e-5, &mut simd_out);
-            let mut scalar_out = vec![0.0; n];
             exp_scale_from_bits_scalar(&bits, 1.6e-5, &mut scalar_out);
-            assert_eq!(
-                simd_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
+            assert_same_bits(&simd_out, &scalar_out, &format!("exp_scale n={n}"));
 
-            let (xi, sox) = (0.15, (1.0 - 0.15) / 56_250.0 / 0.15);
             let mut simd_out = Vec::new();
             gp_from_bits(&bits, xi, sox, &mut simd_out);
-            let mut scalar_out = vec![0.0; n];
             gp_from_bits_scalar(&bits, xi, sox, &mut scalar_out);
-            assert_eq!(
-                simd_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-
-            // The bits kernel composes open_unit + the in-place transform,
-            // so the two public entry points must agree bit for bit.
-            let mut uniforms: Vec<f64> = bits.iter().map(|&b| open_unit_from_bits(b)).collect();
-            gp_transform(&mut uniforms, xi, sox);
-            assert_eq!(
-                simd_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                uniforms.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
+            assert_same_bits(&simd_out, &scalar_out, &format!("gp n={n}"));
         }
     }
 
@@ -897,40 +613,7 @@ mod tests {
             sketch_bins(&xs, ln_gamma, lo, &mut simd_out);
             let mut scalar_out = vec![0.0; n];
             sketch_bins_scalar(&xs, ln_gamma, lo, &mut scalar_out);
-            assert_eq!(
-                simd_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                scalar_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn geometric_kernel_matches_scalar() {
-        let q = 0.1f64;
-        let ln_q = q.ln();
-        for &n in &LENS {
-            let bits = random_bits(n, 90 + n as u64);
-            let mut a = bits.clone();
-            let mut b = bits;
-            geometric_transform(&mut a, q, ln_q);
-            geometric_transform_scalar(&mut b, q, ln_q);
-            assert_eq!(a, b, "n={n}");
-        }
-    }
-
-    #[test]
-    fn alias_kernel_matches_scalar() {
-        // A toy alias table (values irrelevant to identity — only loads).
-        let prob: Vec<f64> = (0..13).map(|i| (i as f64 * 0.37).fract()).collect();
-        let alias: Vec<u32> = (0..13).map(|i| (i * 5 + 2) % 13).collect();
-        for &n in &LENS {
-            let bits = random_bits(n, 1700 + n as u64);
-            let mut simd_out = Vec::new();
-            alias_from_bits(&prob, &alias, &bits, &mut simd_out);
-            let mut scalar_out = vec![0u64; n];
-            alias_from_bits_scalar(&prob, &alias, &bits, &mut scalar_out);
-            assert_eq!(simd_out, scalar_out, "n={n}");
+            assert_same_bits(&simd_out, &scalar_out, &format!("n={n}"));
         }
     }
 
@@ -943,9 +626,6 @@ mod tests {
         let mut forced_out = Vec::new();
         exp_from_bits(&bits, 80_000.0, &mut forced_out);
         set_forced_scalar(false);
-        assert_eq!(
-            auto_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            forced_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        assert_same_bits(&auto_out, &forced_out, "forced scalar");
     }
 }

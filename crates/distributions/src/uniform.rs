@@ -76,18 +76,6 @@ impl Uniform {
     pub fn sample_with<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         self.lo + (self.hi - self.lo) * open_unit(rng)
     }
-
-    /// Fills `out` with samples — bit-identical to `out.len()` successive
-    /// [`Self::sample_with`] calls on the same RNG state: uniforms staged
-    /// in scalar draw order, affine transform applied over the block.
-    pub fn fill<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for u in out.iter_mut() {
-            *u = open_unit(rng);
-        }
-        for x in out.iter_mut() {
-            *x = self.lo + (self.hi - self.lo) * *x;
-        }
-    }
 }
 
 impl Continuous for Uniform {

@@ -123,19 +123,6 @@ impl Zipf {
             }
         }
     }
-
-    /// Fills `out` with ranks — bit-identical to `out.len()` successive
-    /// [`Self::sample_with`] calls on the same RNG state.
-    ///
-    /// Rejection-inversion consumes a data-dependent number of draws per
-    /// sample, so the uniforms cannot be staged ahead of the transform.
-    /// This is the scalar sampler in a loop, provided so every law shares
-    /// the block entry point.
-    pub fn fill_u64<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
-        for k in out.iter_mut() {
-            *k = self.sample_with(rng);
-        }
-    }
 }
 
 /// `H(x) = ∫ x^{-s} dx = (x^{1-s} − 1)/(1 − s)`, computed stably (limit

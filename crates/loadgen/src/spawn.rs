@@ -7,7 +7,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
-use memlat_server::runtime::RuntimeKind;
 use memlat_server::shard::ShardConfig;
 use memlat_server::{start, ServerConfig, ServerHandle};
 
@@ -37,8 +36,6 @@ pub struct ServerSpec {
     pub service_exp_mean: Option<f64>,
     /// Injection RNG seed.
     pub service_seed: u64,
-    /// Runtime backend.
-    pub runtime: RuntimeKind,
 }
 
 impl Default for ServerSpec {
@@ -48,7 +45,6 @@ impl Default for ServerSpec {
             memory_bytes: 64 << 20,
             service_exp_mean: None,
             service_seed: 0x5EED,
-            runtime: RuntimeKind::Blocking,
         }
     }
 }
@@ -95,7 +91,6 @@ impl RunningServer {
                         service_exp_mean: spec.service_exp_mean,
                         service_seed: spec.service_seed,
                     },
-                    runtime: spec.runtime,
                 };
                 let handle = start(&cfg)?;
                 Ok(Self {
@@ -113,11 +108,6 @@ impl RunningServer {
                     .arg(((spec.memory_bytes >> 20).max(1)).to_string())
                     .arg("--service-seed")
                     .arg(spec.service_seed.to_string())
-                    .arg("--runtime")
-                    .arg(match spec.runtime {
-                        RuntimeKind::Blocking => "blocking",
-                        RuntimeKind::Poll => "poll",
-                    })
                     .stdout(Stdio::piped());
                 if let Some(mean) = spec.service_exp_mean {
                     cmd.arg("--service-exp-us")

@@ -35,8 +35,8 @@ pub fn delta_at_utilization(pattern: ArrivalPattern, rho: f64, q: f64) -> Result
     }
     // Work at an arbitrary μ_S = 1: λ = ρ, batch rate (1−q)ρ, batch
     // service (1−q).
-    let gaps = pattern.interarrival((1.0 - q) * rho)?;
-    let delta = memlat_queue::solve_delta(gaps.as_ref(), 1.0 - q)?;
+    let gaps = pattern.gap_law((1.0 - q) * rho)?;
+    let delta = memlat_queue::solve_delta(&gaps, 1.0 - q)?;
     Ok(delta)
 }
 

@@ -2,8 +2,7 @@
 //! object.
 
 use memlat_dist::{
-    Continuous, Deterministic, Exponential, Gamma, GapLaw, GeneralizedPareto, Hyperexponential,
-    Uniform,
+    Deterministic, Exponential, Gamma, GapLaw, GeneralizedPareto, Hyperexponential, Uniform,
 };
 
 use crate::{latency::LatencyEstimate, ModelError};
@@ -43,37 +42,10 @@ pub enum ArrivalPattern {
 }
 
 impl ArrivalPattern {
-    /// Materializes the inter-batch gap distribution with mean `1/rate`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidParam`] if `rate ≤ 0` or the pattern's
-    /// own parameter is out of range.
-    pub fn interarrival(&self, rate: f64) -> Result<Box<dyn Continuous>, ModelError> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(ModelError::InvalidParam(format!(
-                "arrival rate must be positive, got {rate}"
-            )));
-        }
-        Ok(match self {
-            ArrivalPattern::Poisson => Box::new(Exponential::new(rate)?),
-            ArrivalPattern::GeneralizedPareto { xi } => {
-                Box::new(GeneralizedPareto::facebook(*xi, rate)?)
-            }
-            ArrivalPattern::Deterministic => Box::new(Deterministic::new(1.0 / rate)?),
-            ArrivalPattern::Erlang { k } => Box::new(Gamma::erlang(*k, 1.0 / rate)?),
-            ArrivalPattern::Uniform => Box::new(Uniform::with_mean(1.0 / rate)?),
-            ArrivalPattern::Hyperexponential { scv } => {
-                Box::new(Hyperexponential::with_mean_scv(1.0 / rate, *scv)?)
-            }
-        })
-    }
-
-    /// Materializes the gap distribution as a [`GapLaw`] — the closed
-    /// enum the simulator's hot path samples without virtual dispatch.
-    ///
-    /// Draws are bit-identical to the boxed law from
-    /// [`ArrivalPattern::interarrival`] with the same RNG state.
+    /// Materializes the inter-batch gap distribution with mean `1/rate`
+    /// as a [`GapLaw`]: the closed enum the simulator samples without
+    /// virtual dispatch, and a [`memlat_dist::Continuous`] law the solvers
+    /// read.
     ///
     /// # Errors
     ///
@@ -560,6 +532,7 @@ impl ModelParamsBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memlat_dist::Continuous;
 
     fn base() -> ModelParams {
         ModelParams::builder().build().unwrap()
@@ -629,12 +602,12 @@ mod tests {
             ArrivalPattern::Uniform,
             ArrivalPattern::Hyperexponential { scv: 4.0 },
         ] {
-            let d = pat.interarrival(rate).unwrap();
+            let d = pat.gap_law(rate).unwrap();
             assert!((d.mean() - 1e-3).abs() < 1e-12, "{pat:?}");
         }
-        assert!(ArrivalPattern::Poisson.interarrival(0.0).is_err());
+        assert!(ArrivalPattern::Poisson.gap_law(0.0).is_err());
         assert!(ArrivalPattern::GeneralizedPareto { xi: 1.5 }
-            .interarrival(1.0)
+            .gap_law(1.0)
             .is_err());
     }
 

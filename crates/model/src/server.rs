@@ -64,8 +64,8 @@ impl ServerLatencyModel {
             }
             let lam_j = p * params.total_key_rate();
             // Batch rate is (1−q)·λ so the *key* rate is λ.
-            let gaps = params.arrival().interarrival((1.0 - q) * lam_j)?;
-            queues.push(GixM1::new(gaps.as_ref(), q, params.service_rate())?);
+            let gaps = params.arrival().gap_law((1.0 - q) * lam_j)?;
+            queues.push(GixM1::new(&gaps, q, params.service_rate())?);
             shares.push(p);
         }
         if queues.is_empty() {

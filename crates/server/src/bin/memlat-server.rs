@@ -3,7 +3,6 @@
 //! ```text
 //! memlat-server [--addr HOST:PORT] [--shards N] [--memory-mb MB]
 //!               [--service-exp-us MEAN] [--service-seed SEED]
-//!               [--runtime blocking|poll]
 //! ```
 //!
 //! Prints `LISTENING <addr>` once the socket is bound (so harnesses using
@@ -18,8 +17,7 @@ use memlat_server::{start, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: memlat-server [--addr HOST:PORT] [--shards N] [--memory-mb MB]\n\
-         \x20                    [--service-exp-us MEAN_US] [--service-seed SEED]\n\
-         \x20                    [--runtime blocking|poll]"
+         \x20                    [--service-exp-us MEAN_US] [--service-seed SEED]"
     );
     std::process::exit(2);
 }
@@ -54,13 +52,6 @@ fn main() -> ExitCode {
             "--service-seed" => match val("--service-seed").parse() {
                 Ok(seed) => cfg.shard.service_seed = seed,
                 Err(_) => usage(),
-            },
-            "--runtime" => match val("--runtime").parse() {
-                Ok(kind) => cfg.runtime = kind,
-                Err(e) => {
-                    eprintln!("{e}");
-                    usage();
-                }
             },
             "--help" | "-h" => usage(),
             other => {

@@ -13,9 +13,8 @@
 //! Layering:
 //!
 //! * [`protocol`] — incremental parser + per-connection command driver;
-//! * [`runtime`] — socket-driving backends behind the [`runtime::Runtime`]
-//!   trait (blocking thread-per-connection, and a readiness-style poll
-//!   loop);
+//! * [`runtime`] — the socket-driving loop (blocking I/O, a reader and a
+//!   writer thread per connection);
 //! * [`shard`] — the partitioned stores, worker threads and metrics;
 //! * [`buffer`] — pooled per-connection read/write buffers.
 //!
@@ -52,7 +51,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use buffer::BufferPool;
-use runtime::{make_runtime, RuntimeKind};
 use shard::{ShardConfig, ShardPool};
 
 pub use shard::{fnv1a, shard_of};
@@ -135,8 +133,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Shard layout and optional injected service law.
     pub shard: ShardConfig,
-    /// Socket-driving backend.
-    pub runtime: RuntimeKind,
 }
 
 impl Default for ServerConfig {
@@ -144,7 +140,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:11211".into(),
             shard: ShardConfig::default(),
-            runtime: RuntimeKind::Blocking,
         }
     }
 }
@@ -218,11 +213,10 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         cmd_set: AtomicU64::new(0),
         cmd_delete: AtomicU64::new(0),
     });
-    let rt = make_runtime(cfg.runtime);
     let rt_shared = Arc::clone(&shared);
     let thread = thread::Builder::new()
         .name("memlat-runtime".into())
-        .spawn(move || rt.run(listener, rt_shared))?;
+        .spawn(move || runtime::serve(listener, rt_shared))?;
     Ok(ServerHandle {
         addr,
         shared,

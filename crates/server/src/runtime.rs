@@ -1,21 +1,12 @@
-//! Connection runtimes behind a small trait.
+//! The connection runtime: two OS threads per connection (reader +
+//! writer), blocking I/O, wakeups by futex rather than polling.
 //!
-//! The [`Runtime`] trait isolates "how sockets are driven" from everything
-//! else (parsing, sharding, response assembly live in [`ConnDriver`] and
-//! are runtime-agnostic). Two safe-Rust backends are provided:
-//!
-//! * [`BlockingRuntime`] — two OS threads per connection (reader +
-//!   writer). Lowest latency on loopback (futex wakeups, no polling), the
-//!   default, and the one conformance runs use.
-//! * [`PollRuntime`] — a single event-loop thread multiplexing every
-//!   connection over nonblocking sockets, treating `WouldBlock` as "not
-//!   ready" in the style of an epoll/mio readiness loop (the standard
-//!   library exposes no safe `epoll_wait`, so readiness is discovered by
-//!   polling with an adaptive idle backoff). An io_uring or true-epoll
-//!   backend can slot in behind the same trait.
+//! Parsing, sharding and response assembly live in [`ConnDriver`] and
+//! know nothing of sockets; this module only moves bytes between a
+//! socket and its driver.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
@@ -26,94 +17,61 @@ use crate::protocol::handler::ConnDriver;
 use crate::shard::ConnEvent;
 use crate::ServerShared;
 
-/// Which runtime backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// Thread-per-connection blocking I/O (default).
-    Blocking,
-    /// Single-threaded readiness-style event loop.
-    Poll,
-}
-
-impl std::str::FromStr for RuntimeKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "blocking" => Ok(Self::Blocking),
-            "poll" => Ok(Self::Poll),
-            other => Err(format!("unknown runtime {other:?} (blocking|poll)")),
+/// Serves `listener` until [`ServerShared::begin_shutdown`] is called,
+/// then drains every connection and joins the shard workers.
+///
+/// # Errors
+///
+/// Returns fatal listener errors; per-connection errors only drop that
+/// connection.
+pub fn serve(listener: TcpListener, shared: Arc<ServerShared>) -> std::io::Result<()> {
+    let registry: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
+    let mut conn_threads = Vec::new();
+    let mut next_conn: u64 = 0;
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = stream else { continue };
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let id = next_conn;
+        next_conn += 1;
+        let _ = stream.set_nodelay(true);
+        if let Ok(clone) = stream.try_clone() {
+            registry
+                .lock()
+                .expect("registry poisoned")
+                .insert(id, clone);
+        }
+        shared.curr_connections.fetch_add(1, Ordering::Relaxed);
+        shared.total_connections.fetch_add(1, Ordering::Relaxed);
+        let conn_shared = Arc::clone(&shared);
+        let conn_registry = Arc::clone(&registry);
+        let handle = thread::Builder::new()
+            .name(format!("memlat-conn-{id}"))
+            .spawn(move || {
+                serve_conn(stream, &conn_shared);
+                conn_registry.lock().expect("registry poisoned").remove(&id);
+                conn_shared.curr_connections.fetch_sub(1, Ordering::Relaxed);
+            })
+            .expect("spawn connection thread");
+        conn_threads.push(handle);
     }
-}
-
-/// A socket-driving strategy. `run` owns the accept loop and returns only
-/// when the server has fully shut down (all connections drained, shard
-/// workers joined).
-pub trait Runtime: Send {
-    /// Serves `listener` until [`ServerShared::begin_shutdown`] is called.
-    ///
-    /// # Errors
-    ///
-    /// Returns fatal listener errors; per-connection errors only drop that
-    /// connection.
-    fn run(&self, listener: TcpListener, shared: Arc<ServerShared>) -> std::io::Result<()>;
-}
-
-/// Thread-per-connection blocking backend.
-#[derive(Debug, Default)]
-pub struct BlockingRuntime;
-
-impl Runtime for BlockingRuntime {
-    fn run(&self, listener: TcpListener, shared: Arc<ServerShared>) -> std::io::Result<()> {
-        let registry: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let mut conn_threads = Vec::new();
-        let mut next_conn: u64 = 0;
-        for stream in listener.incoming() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let id = next_conn;
-            next_conn += 1;
-            let _ = stream.set_nodelay(true);
-            if let Ok(clone) = stream.try_clone() {
-                registry
-                    .lock()
-                    .expect("registry poisoned")
-                    .insert(id, clone);
-            }
-            shared.curr_connections.fetch_add(1, Ordering::Relaxed);
-            shared.total_connections.fetch_add(1, Ordering::Relaxed);
-            let conn_shared = Arc::clone(&shared);
-            let conn_registry = Arc::clone(&registry);
-            let handle = thread::Builder::new()
-                .name(format!("memlat-conn-{id}"))
-                .spawn(move || {
-                    run_blocking_conn(stream, &conn_shared);
-                    conn_registry.lock().expect("registry poisoned").remove(&id);
-                    conn_shared.curr_connections.fetch_sub(1, Ordering::Relaxed);
-                })
-                .expect("spawn connection thread");
-            conn_threads.push(handle);
-        }
-        // Drain: force every live connection's reader to see EOF, then let
-        // the writers flush their pending responses and exit.
-        for (_, s) in registry.lock().expect("registry poisoned").iter() {
-            let _ = s.shutdown(Shutdown::Read);
-        }
-        for handle in conn_threads {
-            let _ = handle.join();
-        }
-        shared.pool.shutdown();
-        Ok(())
+    // Drain: force every live connection's reader to see EOF, then let
+    // the writers flush their pending responses and exit.
+    for (_, s) in registry.lock().expect("registry poisoned").iter() {
+        let _ = s.shutdown(Shutdown::Read);
     }
+    for handle in conn_threads {
+        let _ = handle.join();
+    }
+    shared.pool.shutdown();
+    Ok(())
 }
 
-fn run_blocking_conn(stream: TcpStream, shared: &Arc<ServerShared>) {
+fn serve_conn(stream: TcpStream, shared: &Arc<ServerShared>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -184,154 +142,4 @@ fn run_blocking_conn(stream: TcpStream, shared: &Arc<ServerShared>) {
     let _ = event_tx.send(ConnEvent::Wake);
     let _ = writer.join();
     let _ = reader.shutdown(Shutdown::Both);
-}
-
-/// Single-threaded readiness-style event loop backend.
-#[derive(Debug, Default)]
-pub struct PollRuntime;
-
-struct PollConn {
-    stream: TcpStream,
-    driver: ConnDriver,
-    event_rx: mpsc::Receiver<ConnEvent>,
-    pending: Vec<u8>,
-    written: usize,
-    dead: bool,
-}
-
-impl Runtime for PollRuntime {
-    fn run(&self, listener: TcpListener, shared: Arc<ServerShared>) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut conns: Vec<PollConn> = Vec::new();
-        let mut chunk = [0u8; 16 << 10];
-        let mut idle_sweeps: u32 = 0;
-        loop {
-            let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-            let mut active = false;
-
-            if !shutting_down {
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let _ = stream.set_nodelay(true);
-                            let (event_tx, event_rx) = mpsc::channel();
-                            shared.curr_connections.fetch_add(1, Ordering::Relaxed);
-                            shared.total_connections.fetch_add(1, Ordering::Relaxed);
-                            conns.push(PollConn {
-                                stream,
-                                driver: ConnDriver::new(Arc::clone(&shared), event_tx),
-                                event_rx,
-                                pending: Vec::new(),
-                                written: 0,
-                                dead: false,
-                            });
-                            active = true;
-                        }
-                        Err(ref e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
-            }
-
-            for conn in &mut conns {
-                // 1. Integrate shard completions.
-                while let Ok(ev) = conn.event_rx.try_recv() {
-                    conn.driver.handle_event(ev);
-                    active = true;
-                }
-                // 2. Read whatever the socket has.
-                if !conn.driver.closing() && !conn.dead {
-                    loop {
-                        match conn.stream.read(&mut chunk) {
-                            Ok(0) => {
-                                conn.driver.begin_drain();
-                                break;
-                            }
-                            Ok(n) => {
-                                shared.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                                conn.driver.on_bytes(&chunk[..n]);
-                                active = true;
-                                if conn.driver.closing() {
-                                    break;
-                                }
-                            }
-                            Err(ref e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                conn.dead = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if shutting_down || conn.driver.closing() {
-                    conn.driver.begin_drain();
-                }
-                // 3. Assemble and write what's flushable.
-                let out = conn.driver.take_output();
-                if out.is_empty() {
-                    shared.buffers.release(out);
-                } else {
-                    conn.pending.extend_from_slice(&out);
-                    shared.buffers.release(out);
-                }
-                while conn.written < conn.pending.len() && !conn.dead {
-                    match conn.stream.write(&conn.pending[conn.written..]) {
-                        Ok(n) => {
-                            conn.written += n;
-                            shared.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
-                            active = true;
-                        }
-                        Err(ref e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(_) => {
-                            conn.dead = true;
-                            break;
-                        }
-                    }
-                }
-                if conn.written == conn.pending.len() && conn.written > 0 {
-                    conn.pending.clear();
-                    conn.written = 0;
-                }
-            }
-
-            // 4. Reap finished connections.
-            conns.retain(|c| {
-                let done =
-                    c.dead || (c.driver.closing() && c.driver.drained() && c.pending.is_empty());
-                if done {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    shared.curr_connections.fetch_sub(1, Ordering::Relaxed);
-                }
-                !done
-            });
-
-            if shutting_down && conns.is_empty() {
-                break;
-            }
-            if active {
-                idle_sweeps = 0;
-            } else {
-                idle_sweeps = idle_sweeps.saturating_add(1);
-                if idle_sweeps > 32 {
-                    thread::sleep(Duration::from_micros(200));
-                } else {
-                    thread::yield_now();
-                }
-            }
-        }
-        shared.pool.shutdown();
-        Ok(())
-    }
-}
-
-/// Constructs the backend for `kind`.
-#[must_use]
-pub fn make_runtime(kind: RuntimeKind) -> Box<dyn Runtime> {
-    match kind {
-        RuntimeKind::Blocking => Box::new(BlockingRuntime),
-        RuntimeKind::Poll => Box::new(PollRuntime),
-    }
 }

@@ -1,15 +1,14 @@
-//! End-to-end loopback sessions against a live in-process server, for
-//! both runtime backends: protocol semantics, pipelining, error recovery,
-//! and graceful shutdown with no leaked state.
+//! End-to-end loopback sessions against a live in-process server:
+//! protocol semantics, pipelining, error recovery, and graceful shutdown
+//! with no leaked state.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use memlat_server::runtime::RuntimeKind;
 use memlat_server::{start, ServerConfig, ServerHandle};
 
-fn launch(kind: RuntimeKind) -> ServerHandle {
+fn launch() -> ServerHandle {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         shard: memlat_server::shard::ShardConfig {
@@ -18,7 +17,6 @@ fn launch(kind: RuntimeKind) -> ServerHandle {
             service_exp_mean: None,
             service_seed: 7,
         },
-        runtime: kind,
     };
     start(&cfg).expect("server start")
 }
@@ -58,8 +56,9 @@ impl Client {
     }
 }
 
-fn session(kind: RuntimeKind) {
-    let handle = launch(kind);
+#[test]
+fn blocking_runtime_full_session() {
+    let handle = launch();
     let mut c = Client::connect(&handle);
 
     c.send(b"version\r\n");
@@ -157,19 +156,9 @@ fn session(kind: RuntimeKind) {
 }
 
 #[test]
-fn blocking_runtime_full_session() {
-    session(RuntimeKind::Blocking);
-}
-
-#[test]
-fn poll_runtime_full_session() {
-    session(RuntimeKind::Poll);
-}
-
-#[test]
 fn shutdown_drains_pipelined_work() {
     // Commands pipelined *before* shutdown must still be answered.
-    let handle = launch(RuntimeKind::Blocking);
+    let handle = launch();
     let mut c = Client::connect(&handle);
     c.send(b"set k 0 0 1\r\nv\r\nget k\r\nshutdown\r\n");
     assert_eq!(c.line(), "STORED\r\n");
@@ -182,7 +171,7 @@ fn shutdown_drains_pipelined_work() {
 
 #[test]
 fn fatal_protocol_error_closes_connection_only() {
-    let handle = launch(RuntimeKind::Blocking);
+    let handle = launch();
     let mut c = Client::connect(&handle);
     // Bad data chunk: framing lost, connection must die after the error.
     c.send(b"set k 0 0 1\r\ntoolong\r\n");

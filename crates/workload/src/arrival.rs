@@ -14,10 +14,8 @@ use rand::RngCore;
 /// external RNG so multiple servers can run independent streams from
 /// per-stream RNGs.
 ///
-/// The gap law is a type parameter so the simulator's hot path can use the
-/// closed [`GapLaw`] enum (static dispatch, see
-/// [`BatchArrivals::next_batch_with`]) while existing callers keep the
-/// `Box<dyn Continuous>` default.
+/// The gap law is the closed [`GapLaw`] enum, so every draw is a static
+/// match and the sampler inlines into the simulator's loop.
 ///
 /// # Examples
 ///
@@ -28,66 +26,19 @@ use rand::RngCore;
 ///
 /// # fn main() -> Result<(), memlat_dist::ParamError> {
 /// let gaps = GeneralizedPareto::facebook(0.15, 56_250.0)?;
-/// let mut s = BatchArrivals::new(Box::new(gaps), 0.1)?;
+/// let mut s = BatchArrivals::new(gaps, 0.1)?;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let (t1, _) = s.next_batch(&mut rng);
-/// let (t2, _) = s.next_batch(&mut rng);
+/// let (t1, _) = s.next_batch_with(&mut rng);
+/// let (t2, _) = s.next_batch_with(&mut rng);
 /// assert!(t2 > t1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct BatchArrivals<G: Continuous = Box<dyn Continuous>> {
-    gaps: G,
+pub struct BatchArrivals {
+    gaps: GapLaw,
     batch: GeometricBatch,
     clock: f64,
-}
-
-impl<G: Continuous> BatchArrivals<G> {
-    /// Creates a batch process from an inter-batch gap law and the
-    /// concurrency probability `q`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamError`] if `q ∉ [0, 1)`.
-    pub fn new(gaps: G, q: f64) -> Result<Self, ParamError> {
-        Ok(Self {
-            gaps,
-            batch: GeometricBatch::new(q)?,
-            clock: 0.0,
-        })
-    }
-
-    /// Implied per-key arrival rate `λ = E[X]/E[T_X]`.
-    #[must_use]
-    pub fn key_rate(&self) -> f64 {
-        self.batch.mean() / self.gaps.mean()
-    }
-
-    /// The concurrency probability `q`.
-    #[must_use]
-    pub fn concurrency(&self) -> f64 {
-        self.batch.q()
-    }
-
-    /// Current clock (time of the last emitted batch).
-    #[must_use]
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// Advances the stream: returns the next batch's arrival time and its
-    /// size (≥ 1).
-    pub fn next_batch(&mut self, rng: &mut dyn RngCore) -> (f64, u64) {
-        self.clock += self.gaps.sample(rng);
-        (self.clock, self.batch.sample(rng))
-    }
-
-    /// Resets the clock to zero (the RNG is external, so this alone does
-    /// not reproduce a stream).
-    pub fn reset(&mut self) {
-        self.clock = 0.0;
-    }
 }
 
 /// Reusable lanes for the speculative block arrival pipeline
@@ -98,7 +49,8 @@ impl<G: Continuous> BatchArrivals<G> {
 /// whole sweep.
 #[derive(Debug, Default)]
 pub struct ArrivalScratch {
-    /// Raw gap-draw bits, one `next_u64` per staged batch.
+    /// Raw gap-draw bits, one `next_u64` per staged batch (bits-kernel
+    /// laws only).
     gap_bits: Vec<u64>,
     /// Gaps transformed from `gap_bits` via the lane kernels.
     gaps: Vec<f64>,
@@ -141,106 +93,91 @@ impl ArrivalScratch {
     }
 }
 
-impl BatchArrivals<GapLaw> {
-    /// [`next_batch`](Self::next_batch) through a concrete RNG type: the
-    /// gap draw is a static match over [`GapLaw`] and the batch draw is
-    /// the inlined geometric sampler. Bit-identical to `next_batch` with
-    /// the same RNG state.
+impl BatchArrivals {
+    /// Creates a batch process from an inter-batch gap law and the
+    /// concurrency probability `q`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParamError`] if `q ∉ [0, 1)`.
+    pub fn new(gaps: impl Into<GapLaw>, q: f64) -> Result<Self, ParamError> {
+        Ok(Self {
+            gaps: gaps.into(),
+            batch: GeometricBatch::new(q)?,
+            clock: 0.0,
+        })
+    }
+
+    /// Implied per-key arrival rate `λ = E[X]/E[T_X]`.
+    #[must_use]
+    pub fn key_rate(&self) -> f64 {
+        self.batch.mean() / self.gaps.mean()
+    }
+
+    /// The concurrency probability `q`.
+    #[must_use]
+    pub fn concurrency(&self) -> f64 {
+        self.batch.q()
+    }
+
+    /// Current clock (time of the last emitted batch).
+    #[must_use]
+    pub fn clock(&self) -> f64 {
+        self.clock
+    }
+
+    /// Resets the clock to zero (the RNG is external, so this alone does
+    /// not reproduce a stream).
+    pub fn reset(&mut self) {
+        self.clock = 0.0;
+    }
+
+    /// Advances the stream: returns the next batch's arrival time and its
+    /// size (≥ 1). The gap draw is a static match over [`GapLaw`] and the
+    /// batch draw is the inlined geometric sampler.
     #[inline]
     pub fn next_batch_with<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> (f64, u64) {
         self.clock += self.gaps.sample_with(rng);
         (self.clock, self.batch.sample_with(rng))
     }
 
-    /// Streams successive batches into `visit` until it returns `false`,
-    /// dispatching the gap-law variant **once for the whole run** instead
-    /// of once per batch.
+    /// Generates whole batches until at least `min_keys` keys are staged
+    /// (batches are never split) or the horizon is crossed — the block
+    /// driver of every gap law.
     ///
-    /// Per-batch [`next_batch_with`](Self::next_batch_with) calls pay the
-    /// enum match on every draw, which keeps the gap law's parameters out
-    /// of registers — on the simulator's hot path that roughly doubles the
-    /// cost of the draw itself. Hoisting the match lets the concrete
-    /// sampler inline into the loop. Draw-for-draw the RNG consumption and
-    /// arithmetic are identical, so a run is bit-identical to calling
-    /// `next_batch_with` until `visit` declines.
-    ///
-    /// `visit` receives `(time, batch_size, rng)` — the RNG is handed back
-    /// between draws so callers can interleave their own per-key draws in
-    /// scalar stream order.
-    #[inline]
-    pub fn drive_batches_with<R, F>(&mut self, rng: &mut R, mut visit: F)
-    where
-        R: RngCore + ?Sized,
-        F: FnMut(f64, u64, &mut R) -> bool,
-    {
-        let mut clock = self.clock;
-        let batch = self.batch;
-        macro_rules! drive {
-            ($gaps:expr) => {{
-                let gaps = $gaps;
-                loop {
-                    clock += gaps.sample_with(rng);
-                    if !visit(clock, batch.sample_with(rng), rng) {
-                        break;
-                    }
-                }
-            }};
-        }
-        match &self.gaps {
-            GapLaw::Exponential(d) => drive!(d),
-            GapLaw::GeneralizedPareto(d) => drive!(d),
-            GapLaw::Deterministic(d) => drive!(d),
-            GapLaw::Erlang(d) => drive!(d),
-            GapLaw::Uniform(d) => drive!(d),
-            GapLaw::Hyperexponential(d) => drive!(d),
-        }
-        self.clock = clock;
-    }
-
-    /// Whether [`fill_block_speculative`](Self::fill_block_speculative)
-    /// supports this stream's gap law (one raw `u64` per gap draw and a
-    /// block bits-kernel — see [`GapLaw::has_bits_kernel`]).
-    #[must_use]
-    pub fn speculative_supported(&self) -> bool {
-        self.gaps.has_bits_kernel()
-    }
-
-    /// Speculatively generates whole batches until at least `min_keys`
-    /// keys are staged (batches are never split) or the horizon is
-    /// crossed — the block reformulation of the serial `clock += gap`
-    /// recurrence.
-    ///
-    /// Raw gap bits are banked in scalar draw order and transformed to
-    /// gaps as one slice scan through the SIMD-dispatched
-    /// [`GapLaw::gaps_from_bits`] kernel; absolute arrival times come
-    /// from a deterministic in-block prefix sum seeded with the carried
-    /// clock, so every add happens in the same order on the same values
-    /// as the scalar recurrence — bit-identical by construction.
     /// `draw_keys(size, rng)` runs once per staged batch, in stream
     /// order, so callers can bank their own per-key draws; it must
-    /// consume exactly `key_draws` raw `u64`s per key.
+    /// consume exactly `key_draws` raw `u64`s per key. When the horizon
+    /// is crossed, callers truncate their key lanes to the kept keys.
     ///
-    /// The horizon boundary is handled by over-generation and a
-    /// deterministic trim: when batch `k`'s time lands at or past
+    /// Laws with a bits kernel (exponential, Generalized Pareto — see
+    /// [`GapLaw::has_bits_kernel`]) stage speculatively: raw gap bits are
+    /// banked in scalar draw order and transformed to gaps as one slice
+    /// scan through the SIMD-dispatched [`GapLaw::gaps_from_bits`]
+    /// kernel, and absolute arrival times come from a deterministic
+    /// in-block prefix sum seeded with the carried clock, so every add
+    /// happens in the same order on the same values as the scalar
+    /// recurrence. The horizon boundary is handled by over-generation and
+    /// a deterministic trim: when batch `k`'s time lands at or past
     /// `horizon`, batches `k..` are discarded and the RNG is rewound to
     /// the snapshot taken on entry, then fast-forwarded by exactly the
     /// draws a scalar [`next_batch_with`](Self::next_batch_with) loop
     /// would have consumed — gap and batch-size draws for the kept
     /// batches *and* the terminal crossing batch, plus `key_draws` per
-    /// kept key. RNG stream position and batch counts therefore match
-    /// the scalar reference exactly, which is what keeps block size
-    /// invisible in the output.
+    /// kept key.
     ///
-    /// Returns `true` when the horizon was crossed (the stream is
-    /// exhausted); the kept batches are in
+    /// The other laws (deterministic, Erlang, uniform, hyperexponential)
+    /// draw each gap in place through `next_batch_with` and test the
+    /// horizon before drawing the batch's keys, so nothing is
+    /// over-generated and nothing is rewound.
+    ///
+    /// Either way the RNG stream position and batch counts match the
+    /// scalar reference exactly, which is what keeps block size invisible
+    /// in the output. Returns `true` when the horizon was crossed (the
+    /// stream is exhausted); the kept batches are in
     /// [`ArrivalScratch::times`]/[`ArrivalScratch::sizes`], and the clock
     /// is left exactly where the scalar loop would leave it (the crossing
     /// batch's time).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the gap law has no bits kernel — gate on
-    /// [`Self::speculative_supported`].
     pub fn fill_block_speculative<R, F>(
         &mut self,
         rng: &mut R,
@@ -255,6 +192,20 @@ impl BatchArrivals<GapLaw> {
         F: FnMut(u64, &mut R),
     {
         scratch.clear();
+        let mut staged = 0usize;
+        if !self.gaps.has_bits_kernel() {
+            while staged < min_keys.max(1) {
+                let (t, b) = self.next_batch_with(rng);
+                if t >= horizon {
+                    return true;
+                }
+                scratch.times.push(t);
+                scratch.sizes.push(b);
+                draw_keys(b, rng);
+                staged += b as usize;
+            }
+            return false;
+        }
         let snapshot = rng.clone();
         let batch = self.batch;
         // Near the horizon, staging past the crossing is pure waste (the
@@ -264,14 +215,13 @@ impl BatchArrivals<GapLaw> {
         // block size — proven invisible in the output — and a short fill
         // that neither crosses nor reaches `min_keys` just means the
         // caller fills again from a closer clock.
-        let mean_gap = Continuous::mean(&self.gaps);
+        let mean_gap = self.gaps.mean();
         let remaining = (horizon - self.clock).max(0.0);
         let cap = if mean_gap > 0.0 && mean_gap.is_finite() {
             (remaining / mean_gap * 1.25) as usize + 8
         } else {
             usize::MAX
         };
-        let mut staged = 0usize;
         while staged < min_keys.max(1) && scratch.sizes.len() < cap {
             scratch.gap_bits.push(rng.next_u64());
             let b = batch.sample_with(rng);
@@ -311,15 +261,15 @@ impl BatchArrivals<GapLaw> {
 /// `(time, batch_size)`.
 ///
 /// Returns the number of *keys* (not batches) generated.
-pub fn for_each_batch_until<G: Continuous>(
-    stream: &mut BatchArrivals<G>,
+pub fn for_each_batch_until<R: RngCore + ?Sized>(
+    stream: &mut BatchArrivals,
     horizon: f64,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
     mut f: impl FnMut(f64, u64),
 ) -> u64 {
     let mut keys = 0;
     loop {
-        let (t, b) = stream.next_batch(rng);
+        let (t, b) = stream.next_batch_with(rng);
         if t >= horizon {
             return keys;
         }
@@ -331,13 +281,15 @@ pub fn for_each_batch_until<G: Continuous>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memlat_dist::{Deterministic, Exponential, GeneralizedPareto};
+    use memlat_dist::{
+        Deterministic, Exponential, Gamma, GeneralizedPareto, Hyperexponential, Uniform,
+    };
     use rand::SeedableRng;
 
     #[test]
     fn key_rate_accounts_for_batching() {
         let gaps = Exponential::new(900.0).unwrap();
-        let s = BatchArrivals::new(Box::new(gaps), 0.1).unwrap();
+        let s = BatchArrivals::new(gaps, 0.1).unwrap();
         // batch rate 900, mean batch 1/0.9 ⇒ key rate 1000.
         assert!((s.key_rate() - 1000.0).abs() < 1e-9);
         assert_eq!(s.concurrency(), 0.1);
@@ -346,11 +298,11 @@ mod tests {
     #[test]
     fn clock_is_monotone() {
         let gaps = GeneralizedPareto::facebook(0.5, 100.0).unwrap();
-        let mut s = BatchArrivals::new(Box::new(gaps), 0.2).unwrap();
+        let mut s = BatchArrivals::new(gaps, 0.2).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut prev = 0.0;
         for _ in 0..1000 {
-            let (t, b) = s.next_batch(&mut rng);
+            let (t, b) = s.next_batch_with(&mut rng);
             assert!(t > prev);
             assert!(b >= 1);
             prev = t;
@@ -360,7 +312,7 @@ mod tests {
     #[test]
     fn empirical_key_rate_matches() {
         let gaps = GeneralizedPareto::facebook(0.15, 56_250.0).unwrap();
-        let mut s = BatchArrivals::new(Box::new(gaps), 0.1).unwrap();
+        let mut s = BatchArrivals::new(gaps, 0.1).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let horizon = 20.0;
         let keys = for_each_batch_until(&mut s, horizon, &mut rng, |_, _| {});
@@ -371,10 +323,10 @@ mod tests {
     #[test]
     fn deterministic_gaps_are_even() {
         let gaps = Deterministic::new(0.5).unwrap();
-        let mut s = BatchArrivals::new(Box::new(gaps), 0.0).unwrap();
+        let mut s = BatchArrivals::new(gaps, 0.0).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let (t1, b1) = s.next_batch(&mut rng);
-        let (t2, b2) = s.next_batch(&mut rng);
+        let (t1, b1) = s.next_batch_with(&mut rng);
+        let (t2, b2) = s.next_batch_with(&mut rng);
         assert_eq!((t1, t2), (0.5, 1.0));
         assert_eq!((b1, b2), (1, 1));
     }
@@ -382,9 +334,9 @@ mod tests {
     #[test]
     fn reset_clears_clock() {
         let gaps = Exponential::new(10.0).unwrap();
-        let mut s = BatchArrivals::new(Box::new(gaps), 0.0).unwrap();
+        let mut s = BatchArrivals::new(gaps, 0.0).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        s.next_batch(&mut rng);
+        s.next_batch_with(&mut rng);
         assert!(s.clock() > 0.0);
         s.reset();
         assert_eq!(s.clock(), 0.0);
@@ -393,7 +345,7 @@ mod tests {
     #[test]
     fn rejects_bad_q() {
         let gaps = Exponential::new(10.0).unwrap();
-        assert!(BatchArrivals::new(Box::new(gaps), 1.0).is_err());
+        assert!(BatchArrivals::new(gaps, 1.0).is_err());
     }
 
     /// Scalar reference for the speculative driver: the exact
@@ -430,6 +382,10 @@ mod tests {
             GapLaw::from(GeneralizedPareto::facebook(0.15, 56_250.0).unwrap()),
             GapLaw::from(GeneralizedPareto::facebook(0.0, 56_250.0).unwrap()),
             GapLaw::from(Exponential::new(56_250.0).unwrap()),
+            GapLaw::from(Deterministic::new(1.0 / 56_250.0).unwrap()),
+            GapLaw::from(Gamma::erlang(4, 1.0 / 56_250.0).unwrap()),
+            GapLaw::from(Uniform::with_mean(1.0 / 56_250.0).unwrap()),
+            GapLaw::from(Hyperexponential::with_mean_scv(1.0 / 56_250.0, 4.0).unwrap()),
         ];
         let horizon = 0.02;
         for law in &laws {
@@ -438,7 +394,6 @@ mod tests {
                     scalar_reference(law, q, horizon, key_draws, 99);
                 for min_keys in [1usize, 37, 256, 1024] {
                     let mut s = BatchArrivals::new(law.clone(), q).unwrap();
-                    assert!(s.speculative_supported());
                     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
                     let mut scratch = ArrivalScratch::new();
                     let mut batches = Vec::new();
@@ -484,22 +439,6 @@ mod tests {
                     assert_eq!(rng.next_u64(), want_next, "min_keys={min_keys}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn gap_law_stream_matches_boxed_stream() {
-        let law = GapLaw::from(GeneralizedPareto::facebook(0.15, 56_250.0).unwrap());
-        let boxed: Box<dyn Continuous> = Box::new(law.clone());
-        let mut fast = BatchArrivals::new(law, 0.1).unwrap();
-        let mut slow = BatchArrivals::new(boxed, 0.1).unwrap();
-        let mut a = rand::rngs::StdRng::seed_from_u64(5);
-        let mut b = rand::rngs::StdRng::seed_from_u64(5);
-        for _ in 0..5_000 {
-            let (t1, n1) = fast.next_batch_with(&mut a);
-            let (t2, n2) = slow.next_batch(&mut b);
-            assert_eq!(t1.to_bits(), t2.to_bits());
-            assert_eq!(n1, n2);
         }
     }
 }

@@ -62,7 +62,7 @@ pub fn interarrival() -> Result<GeneralizedPareto, ParamError> {
 ///
 /// Never fails for the preset constants.
 pub fn batch_arrivals() -> Result<BatchArrivals, ParamError> {
-    BatchArrivals::new(Box::new(interarrival()?), CONCURRENCY_Q)
+    BatchArrivals::new(interarrival()?, CONCURRENCY_Q)
 }
 
 /// Key-size law (bytes): Atikoglu et al. report a strongly peaked

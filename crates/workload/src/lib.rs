@@ -30,7 +30,7 @@
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let mut arrivals = facebook::batch_arrivals().unwrap();
-//! let (t, batch) = arrivals.next_batch(&mut rng);
+//! let (t, batch) = arrivals.next_batch_with(&mut rng);
 //! assert!(t > 0.0 && batch >= 1);
 //! ```
 

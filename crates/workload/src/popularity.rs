@@ -267,26 +267,6 @@ impl ZipfPopularity {
         }
     }
 
-    /// Bulk alias sampling: appends one key id per raw `next_u64` draw in
-    /// `bits` onto `out`, bit-identical to calling [`Self::sample_key`] at
-    /// each original draw site. Runs through the SIMD-dispatched gather
-    /// kernel on AVX2 hosts.
-    ///
-    /// Only the alias path can be bulk-driven (rejection-inversion consumes
-    /// a data-dependent number of uniforms per key).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this population does not use the alias table
-    /// ([`Self::uses_alias_table`] is `false`).
-    pub fn sample_keys_from_bits(&self, bits: &[u64], out: &mut Vec<KeyId>) {
-        let table = self
-            .alias
-            .as_ref()
-            .expect("bulk sampling requires the alias-table path");
-        memlat_dist::simd::alias_from_bits(&table.prob, &table.alias, bits, out);
-    }
-
     /// Probability that a single access hits the given key id.
     #[must_use]
     pub fn access_probability(&self, key: KeyId) -> f64 {
@@ -391,21 +371,6 @@ mod tests {
         let expect = pop.head_mass(50);
         assert!((fa - expect).abs() < 0.01, "alias {fa} vs {expect}");
         assert!((fa - fr).abs() < 0.015, "alias {fa} vs rejection {fr}");
-    }
-
-    #[test]
-    fn bulk_sampling_is_bit_identical_to_scalar() {
-        use rand::RngCore;
-        let pop = ZipfPopularity::new(5_000, 0.99).unwrap();
-        for n in [0usize, 1, 3, 7, 37, 1024] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0xb17 + n as u64);
-            let bits: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-            let mut bulk = Vec::new();
-            pop.sample_keys_from_bits(&bits, &mut bulk);
-            let mut replay = rand::rngs::StdRng::seed_from_u64(0xb17 + n as u64);
-            let scalar: Vec<u64> = (0..n).map(|_| pop.sample_key(&mut replay)).collect();
-            assert_eq!(bulk, scalar, "n={n}");
-        }
     }
 
     #[test]

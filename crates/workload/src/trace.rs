@@ -22,11 +22,11 @@ pub struct TraceRecord {
 }
 
 /// Records `duration` seconds of a batch stream into a trace.
-pub fn record<G: Continuous>(
-    stream: &mut BatchArrivals<G>,
+pub fn record<R: rand::RngCore + ?Sized>(
+    stream: &mut BatchArrivals,
     server: u32,
     duration: f64,
-    rng: &mut dyn rand::RngCore,
+    rng: &mut R,
 ) -> Vec<TraceRecord> {
     let mut out = Vec::new();
     crate::arrival::for_each_batch_until(stream, duration, rng, |time, batch| {

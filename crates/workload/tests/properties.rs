@@ -18,12 +18,12 @@ proptest! {
     #[test]
     fn batch_stream_laws(rate in 100.0f64..100_000.0, q in 0.0f64..0.6, xi in 0.0f64..0.7, seed in 0u64..500) {
         let gaps = GeneralizedPareto::facebook(xi, (1.0 - q) * rate).unwrap();
-        let mut s = BatchArrivals::new(Box::new(gaps), q).unwrap();
+        let mut s = BatchArrivals::new(gaps, q).unwrap();
         prop_assert!((s.key_rate() - rate).abs() < 1e-6 * rate);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut prev = 0.0;
         for _ in 0..200 {
-            let (t, b) = s.next_batch(&mut rng);
+            let (t, b) = s.next_batch_with(&mut rng);
             prop_assert!(t > prev);
             prop_assert!(b >= 1);
             prev = t;
@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn trace_round_trip(rate in 1_000.0f64..50_000.0, seed in 0u64..200) {
         let gaps = Exponential::new(rate).unwrap();
-        let mut s = BatchArrivals::new(Box::new(gaps), 0.1).unwrap();
+        let mut s = BatchArrivals::new(gaps, 0.1).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let t = record(&mut s, 0, 0.2, &mut rng);
         prop_assume!(t.len() >= 2);
@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn batch_counting_consistent(rate in 1_000.0f64..20_000.0, seed in 0u64..100) {
         let gaps = Exponential::new(rate).unwrap();
-        let mut s = BatchArrivals::new(Box::new(gaps), 0.2).unwrap();
+        let mut s = BatchArrivals::new(gaps, 0.2).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut manual = 0u64;
         let reported = for_each_batch_until(&mut s, 0.5, &mut rng, |_, b| manual += b);

@@ -2,8 +2,8 @@
 //! bit-identical to the scalar gap recurrence under random parameters.
 //!
 //! The unit tests in `arrival.rs` pin a handful of configurations; these
-//! properties let proptest roam the (rate, q, ξ, seed, horizon) space and
-//! assert the three invariants the block reformulation rests on:
+//! properties let proptest roam the (gap law, rate, q, ξ, seed) space and
+//! assert the three invariants the block driver rests on:
 //!
 //! 1. **Prefix-sum carry exactness** — batch times produced across many
 //!    speculative blocks match the scalar `clock += gap` recurrence bit
@@ -15,17 +15,26 @@
 //!    sits exactly where the scalar loop would leave it, so everything
 //!    downstream of arrival generation is unperturbed.
 
-use memlat_dist::{Exponential, GapLaw, GeneralizedPareto};
+use memlat_dist::{
+    Deterministic, Exponential, Gamma, GapLaw, GeneralizedPareto, Hyperexponential, Uniform,
+};
 use memlat_workload::{ArrivalScratch, BatchArrivals};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 
-fn law(rate: f64, q: f64, xi: f64, exponential: u8) -> GapLaw {
+/// One of the six gap laws at batch rate `(1 − q)·rate`: the two with a
+/// bits kernel (GP, exponential) stage speculatively, the other four draw
+/// in place.
+fn law(rate: f64, q: f64, xi: f64, kind: u8) -> GapLaw {
     let batch_rate = (1.0 - q) * rate;
-    if exponential == 1 {
-        GapLaw::from(Exponential::new(batch_rate).unwrap())
-    } else {
-        GapLaw::from(GeneralizedPareto::facebook(xi, batch_rate).unwrap())
+    let mean = 1.0 / batch_rate;
+    match kind {
+        0 => GapLaw::from(GeneralizedPareto::facebook(xi, batch_rate).unwrap()),
+        1 => GapLaw::from(Exponential::new(batch_rate).unwrap()),
+        2 => GapLaw::from(Deterministic::new(mean).unwrap()),
+        3 => GapLaw::from(Gamma::erlang(4, mean).unwrap()),
+        4 => GapLaw::from(Uniform::with_mean(mean).unwrap()),
+        _ => GapLaw::from(Hyperexponential::with_mean_scv(mean, 4.0).unwrap()),
     }
 }
 
@@ -120,7 +129,7 @@ fn assert_runs_match(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(144))]
 
     /// Invariants 1 and 3: the speculative pipeline reproduces the scalar
     /// recurrence bit for bit — times, sizes, interleaved key draws, the
@@ -130,12 +139,12 @@ proptest! {
         rate in 2_000.0f64..30_000.0,
         q in 0.0f64..0.5,
         xi in 0.0f64..0.7,
-        exponential in 0u8..2,
+        kind in 0u8..6,
         key_draws in 0usize..3,
         min_keys in 1usize..512,
         seed in 0u64..10_000,
     ) {
-        let law = law(rate, q, xi, exponential);
+        let law = law(rate, q, xi, kind);
         let horizon = 0.01;
         let scalar = scalar_reference(&law, q, horizon, key_draws, seed);
         prop_assume!(!scalar.0.is_empty());
@@ -152,11 +161,11 @@ proptest! {
         rate in 2_000.0f64..30_000.0,
         q in 0.0f64..0.5,
         xi in 0.0f64..0.7,
-        exponential in 0u8..2,
+        kind in 0u8..6,
         key_draws in 0usize..3,
         seed in 0u64..10_000,
     ) {
-        let law = law(rate, q, xi, exponential);
+        let law = law(rate, q, xi, kind);
         let horizon = 0.01;
         let reference = speculative_run(&law, q, horizon, 1, key_draws, seed);
         for min_keys in [37usize, 256, 1024] {
