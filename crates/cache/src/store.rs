@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::bytes::Bytes;
 
@@ -131,6 +132,41 @@ impl Lookup {
     }
 }
 
+/// The store index's hasher: one folded 64×64→128-bit multiply per
+/// [`KeyId`], in place of std's SipHash.
+///
+/// Two properties make the weak hash safe here. No code iterates the
+/// index, so its hash order can never reach an output. And its keys are
+/// never attacker-chosen: the simulator draws them from a popularity
+/// law, and `memlat-server` stores the ids its shard interner assigns,
+/// while the client's key bytes are hashed by SipHash in that interner.
+/// Flooding one bucket therefore gives a client no HashDoS lever.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyIdHasher(u64);
+
+impl Hasher for KeyIdHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        // Fold the high half of the product into the low half, so the
+        // bucket bits depend on every key bit.
+        let p = u128::from(key ^ self.0).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     key: KeyId,
@@ -160,7 +196,7 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Store {
     slabs: SlabAllocator,
-    index: HashMap<KeyId, SlotId>,
+    index: HashMap<KeyId, SlotId, BuildHasherDefault<KeyIdHasher>>,
     arena: Vec<Entry>,
     /// LRU link fields, parallel to `arena` (kept separate so list
     /// operations never touch — or copy — the entries themselves).
@@ -183,7 +219,7 @@ impl Store {
         let lrus = vec![LruList::new(); slabs.class_count()];
         Ok(Self {
             slabs,
-            index: HashMap::new(),
+            index: HashMap::default(),
             arena: Vec::new(),
             links: Vec::new(),
             free_slots: Vec::new(),

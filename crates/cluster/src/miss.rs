@@ -1,19 +1,22 @@
-//! Per-server miss state behind a trait: the paper's ideal fixed-ratio
-//! coin flip, or a real slab/LRU store whose miss ratio *emerges* from
-//! Zipf traffic against a finite memory budget.
+//! Per-server miss state, a closed enum over two deciders: the paper's
+//! ideal fixed-ratio coin flip, or a real slab/LRU store whose miss
+//! ratio *emerges* from Zipf traffic against a finite memory budget.
 //!
-//! The trait boundary is what keeps the analytic mode fast and frozen:
-//! [`MissState::fixed_ratio`] tells the server loop whether misses are
-//! an i.i.d. coin flip — exactly the contract the block-batched hot path
-//! needs — so [`FixedRatioMiss`] keeps its bit-exact RNG draw sequence
-//! (goldens and FNV fingerprints must not move) while [`LruBackedMiss`]
-//! is free to consult a store, sample value sizes, and (under
-//! consistent-hash routing) draw from its server's conditional key
-//! population.
+//! Both deciders run on the server's block lanes when the run is
+//! healthy (see [`crate::server`]). [`FixedRatioMiss`] is an i.i.d. coin
+//! flip, so the lanes bank one miss uniform per key and keep its bit-
+//! exact RNG draw sequence (goldens and FNV fingerprints must not move).
+//! [`LruBackedMiss`] consults a store, samples value sizes, and (under
+//! consistent-hash routing) draws from its server's conditional key
+//! population; the lanes run its decisions in stream order while the
+//! arrival driver stages keys, which is exact because the decider never
+//! stores an expiring item (its `now` cannot change a decision). The
+//! dispatch is a `match`, and every draw is generic over the RNG type,
+//! so nothing on the per-key path goes through a vtable.
 
 use std::sync::Arc;
 
-use memlat_cache::{Store, StoreConfig};
+use memlat_cache::{Store, StoreConfig, StoreStats};
 use memlat_dist::{GeneralizedPareto, ParamError};
 use memlat_workload::{RoutedKeyspace, ZipfPopularity};
 use rand::RngCore;
@@ -24,29 +27,58 @@ use crate::database::NO_KEY;
 /// Per-server miss state: decides, for each served key, whether it
 /// missed the cache.
 ///
-/// Implementations must keep [`MissState::decide`]'s RNG consumption
-/// well-defined per call — the cluster gives every server its own
-/// seed-derived stream, so any deterministic consumption pattern
-/// preserves 1-vs-N-thread bit-identity.
-pub trait MissState {
-    /// `Some(r)` when misses are an i.i.d. coin flip with ratio `r` —
-    /// the block-batched hot path is only sound under that contract (it
-    /// pre-banks one miss uniform per key). `None` for stateful
-    /// deciders, which force the scalar path.
-    fn fixed_ratio(&self) -> Option<f64>;
+/// Every decider's RNG consumption is well-defined per call — the
+/// cluster gives every server its own seed-derived stream, so any
+/// deterministic consumption pattern preserves 1-vs-N-thread
+/// bit-identity.
+pub enum MissState {
+    /// The paper's i.i.d. coin flip.
+    Fixed(FixedRatioMiss),
+    /// A slab/LRU store behind every decision.
+    Lru(LruBackedMiss),
+}
+
+impl MissState {
+    /// `Some(r)` when misses are an i.i.d. coin flip with ratio `r`,
+    /// `None` for the stateful LRU decider.
+    #[must_use]
+    pub fn fixed_ratio(&self) -> Option<f64> {
+        match self {
+            Self::Fixed(f) => Some(f.ratio),
+            Self::Lru(_) => None,
+        }
+    }
 
     /// Whether the key served at simulated time `now` misses, plus the
     /// sampled key identity ([`NO_KEY`] when the decider draws none).
-    fn decide(&mut self, now: f64, rng: &mut dyn RngCore) -> (bool, u64);
+    #[inline]
+    pub fn decide<R: RngCore + ?Sized>(&mut self, now: f64, rng: &mut R) -> (bool, u64) {
+        match self {
+            Self::Fixed(f) => f.decide(rng),
+            Self::Lru(l) => l.decide(now, rng),
+        }
+    }
 
     /// The backing store's own observed miss ratio, when one exists
     /// (warm-up traffic included — the store saw it).
-    fn observed_miss_ratio(&self) -> Option<f64>;
+    #[must_use]
+    pub fn observed_miss_ratio(&self) -> Option<f64> {
+        match self {
+            Self::Fixed(_) => None,
+            Self::Lru(l) => Some(l.store_stats().miss_ratio()),
+        }
+    }
 
     /// Items resident in the backing store (0 without one). For
     /// LRU-backed runs this is the steady-state cache size in *items* —
     /// the `x` of the Ji/Quan/Tan asymptotic.
-    fn cached_items(&self) -> u64;
+    #[must_use]
+    pub fn cached_items(&self) -> u64 {
+        match self {
+            Self::Fixed(_) => 0,
+            Self::Lru(l) => l.cached_items(),
+        }
+    }
 }
 
 /// The paper's assumption: every key misses independently with ratio
@@ -62,15 +94,16 @@ impl FixedRatioMiss {
     pub fn new(ratio: f64) -> Self {
         Self { ratio }
     }
-}
 
-impl MissState for FixedRatioMiss {
-    fn fixed_ratio(&self) -> Option<f64> {
-        Some(self.ratio)
+    /// The miss ratio `r`.
+    #[must_use]
+    pub(crate) fn ratio(&self) -> f64 {
+        self.ratio
     }
 
+    /// One coin flip: one uniform when `r > 0`, nothing otherwise.
     #[inline]
-    fn decide(&mut self, _now: f64, rng: &mut dyn RngCore) -> (bool, u64) {
+    pub(crate) fn decide<R: RngCore + ?Sized>(&self, rng: &mut R) -> (bool, u64) {
         // r ≤ 0 draws nothing: the zero-miss stream must stay bit-
         // identical to the historical output.
         if self.ratio <= 0.0 {
@@ -78,14 +111,6 @@ impl MissState for FixedRatioMiss {
         } else {
             (memlat_dist::open_unit(rng) < self.ratio, NO_KEY)
         }
-    }
-
-    fn observed_miss_ratio(&self) -> Option<f64> {
-        None
-    }
-
-    fn cached_items(&self) -> u64 {
-        0
     }
 }
 
@@ -105,6 +130,12 @@ enum Population {
 /// A real slab/LRU store behind the miss decision: every served key is
 /// sampled from the population, looked up, and demand-filled on miss
 /// with a value drawn from the Facebook size law.
+///
+/// **Invariant: no stored item ever expires.** Demand fills carry no
+/// TTL, so a lookup's outcome depends only on the key sequence, never
+/// on `now`. The server's block lanes rely on this: they decide each
+/// key while the arrival driver stages it, before its departure time
+/// exists.
 pub struct LruBackedMiss {
     // Boxed: the slab store dwarfs the fixed-ratio variant.
     store: Box<Store>,
@@ -112,34 +143,38 @@ pub struct LruBackedMiss {
     value_sizes: GeneralizedPareto,
 }
 
-impl MissState for LruBackedMiss {
-    fn fixed_ratio(&self) -> Option<f64> {
-        None
-    }
-
-    fn decide(&mut self, now: f64, rng: &mut dyn RngCore) -> (bool, u64) {
-        let mut r = &mut *rng;
+impl LruBackedMiss {
+    /// Samples a key, looks it up at `now` and demand-fills it on a
+    /// miss. Draws the key (one `next_u64` from an alias table; one or
+    /// more under rejection-inversion), then one more for the value size
+    /// on a miss.
+    #[inline]
+    pub(crate) fn decide<R: RngCore + ?Sized>(&mut self, now: f64, rng: &mut R) -> (bool, u64) {
         let key = match &self.population {
-            Population::Full(pop) => pop.sample_key(&mut r),
-            Population::Routed { keyspace, server } => keyspace.sample_key(*server, &mut r),
+            Population::Full(pop) => pop.sample_key(rng),
+            Population::Routed { keyspace, server } => keyspace.sample_key(*server, rng),
         };
         if self.store.get(key, now).is_hit() {
             (false, key)
         } else {
             // Demand fill: the value fetched from the database is cached
             // (items larger than the biggest chunk are simply not
-            // cached, like memcached).
+            // cached, like memcached). No TTL — see the type's invariant.
             let size = self.value_sizes.sample_with(rng).max(1.0) as usize;
             let _ = self.store.set(key, size, None, now);
             (true, key)
         }
     }
 
-    fn observed_miss_ratio(&self) -> Option<f64> {
-        Some(self.store.stats().miss_ratio())
+    /// The store's cumulative counters (warm-up traffic included).
+    #[must_use]
+    pub(crate) fn store_stats(&self) -> StoreStats {
+        self.store.stats()
     }
 
-    fn cached_items(&self) -> u64 {
+    /// Items resident in the store.
+    #[must_use]
+    pub(crate) fn cached_items(&self) -> u64 {
         self.store.len() as u64
     }
 }
@@ -175,9 +210,9 @@ pub fn build_miss_state(
     miss_ratio: f64,
     popularity: Option<&Arc<ZipfPopularity>>,
     routed: Option<&RoutedHandle>,
-) -> Result<Box<dyn MissState>, ParamError> {
+) -> Result<MissState, ParamError> {
     match mode {
-        MissMode::FixedRatio => Ok(Box::new(FixedRatioMiss::new(miss_ratio))),
+        MissMode::FixedRatio => Ok(MissState::Fixed(FixedRatioMiss::new(miss_ratio))),
         MissMode::CacheBacked(cfg) => {
             let population = match cfg.routing {
                 CacheRouting::Independent => {
@@ -236,7 +271,7 @@ pub fn build_miss_state(
                     }
                 }
             };
-            Ok(Box::new(LruBackedMiss {
+            Ok(MissState::Lru(LruBackedMiss {
                 store: Box::new(
                     Store::new(StoreConfig::with_memory(cfg.memory_bytes))
                         .map_err(|e| ParamError::new(e.to_string()))?,
@@ -266,7 +301,7 @@ mod tests {
 
     #[test]
     fn fixed_ratio_contract() {
-        let mut s = FixedRatioMiss::new(0.25);
+        let mut s = MissState::Fixed(FixedRatioMiss::new(0.25));
         assert_eq!(s.fixed_ratio(), Some(0.25));
         assert_eq!(s.observed_miss_ratio(), None);
         assert_eq!(s.cached_items(), 0);
@@ -284,7 +319,7 @@ mod tests {
     #[test]
     fn zero_ratio_draws_nothing() {
         use rand::RngCore;
-        let mut s = FixedRatioMiss::new(0.0);
+        let mut s = MissState::Fixed(FixedRatioMiss::new(0.0));
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let before = rng.clone().next_u64();
         assert_eq!(s.decide(0.0, &mut rng), (false, NO_KEY));
@@ -305,6 +340,51 @@ mod tests {
         let r = s.observed_miss_ratio().unwrap();
         assert!(r > 0.0 && r < 1.0, "{r}");
         assert!(s.cached_items() > 0);
+    }
+
+    /// The invariant the server's block lanes rely on: an LRU decision
+    /// depends on the key sequence alone, never on `now`, so deciding a
+    /// key before its departure time exists changes nothing.
+    #[test]
+    fn lru_decisions_do_not_depend_on_now() {
+        use rand::RngCore;
+        let routed = CacheBackedConfig {
+            routing: CacheRouting::ConsistentHash { vnodes: 32 },
+            ..cache_cfg()
+        };
+        let pop = ZipfPopularity::new(50_000, 1.1).unwrap();
+        let handle = RoutedHandle {
+            keyspace: Arc::new(RoutedKeyspace::new(&pop, 3, 32).unwrap()),
+            server: 1,
+        };
+        for (cfg, handle) in [(cache_cfg(), None), (routed, Some(&handle))] {
+            let mode = MissMode::CacheBacked(cfg);
+            let clocks: [&dyn Fn(usize) -> f64; 4] =
+                [&|_| 0.0, &|i| i as f64 * 1e-5, &|i| 1e9 - i as f64, &|i| {
+                    if i % 2 == 0 {
+                        1e12
+                    } else {
+                        -1e12
+                    }
+                }];
+            let mut reference = None;
+            for clock in clocks {
+                let mut s = build_miss_state(&mode, 0.0, None, handle).unwrap();
+                let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+                let seq: Vec<(bool, u64)> =
+                    (0..30_000).map(|i| s.decide(clock(i), &mut rng)).collect();
+                let MissState::Lru(lru) = &s else {
+                    panic!("cache-backed mode built a fixed decider");
+                };
+                let got = (seq, lru.store_stats(), s.cached_items(), rng.next_u64());
+                assert!(got.1.misses > 0 && got.1.hits > 0 && got.1.sets > 0);
+                assert_eq!(got.1.expired, 0);
+                match &reference {
+                    None => reference = Some(got),
+                    Some(want) => assert_eq!(&got, want),
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! law, batch size, service draw, miss decision — is monomorphized over
 //! the RNG type so nothing in the loop goes through a vtable.
 //!
-//! On eligible runs (no faults, no client timeout, fixed-ratio misses)
-//! the loop is additionally **block-batched**: keys are staged in
-//! structure-of-arrays lanes ([`BlockScratch`]) of [`ServerSimParams::
-//! block`] keys, raw uniforms are banked per key, the uniform→law
-//! transforms and the FCFS Lindley recursion run as tight slice scans,
-//! and whole blocks reach the sink via [`RecordSink::record_block`].
+//! On healthy runs (no faults, no client timeout) the loop is
+//! additionally **block-batched**: keys are staged in structure-of-arrays
+//! lanes ([`BlockScratch`]) of [`ServerSimParams::block`] keys, raw
+//! uniforms are banked per key, and the uniform→law transforms and the
+//! FCFS Lindley recursion run as tight slice scans. Fixed-ratio runs
+//! hand whole blocks to [`RecordSink::record_block`]. Cache-backed
+//! runs make each key's store lookup while the arrival driver stages it,
+//! in stream order, and emit keyed records one at a time; their
+//! horizon fix-ups are documented on the LRU lanes (`lru_lanes`).
+//! Faulted and timeout runs take the scalar attempt path.
 //! Arrival generation itself is block-shaped too: one driver
 //! ([`BatchArrivals::fill_block_speculative`]) stages every gap law. For
 //! the exponential and GP laws it banks raw gap bits, transforms them
@@ -23,6 +27,7 @@
 //! Blocks consume the RNG stream in exactly the scalar order, so block
 //! size can never change the output — only the wall clock.
 
+use memlat_cache::StoreStats;
 use memlat_des::fcfs::FcfsStation;
 use memlat_des::metrics::{ResilienceCounters, ServerCounters};
 use memlat_dist::{GapLaw, ParamError};
@@ -37,7 +42,7 @@ use rand::RngCore;
 use crate::config::MissMode;
 use crate::database::NO_KEY;
 use crate::fault::{ClientPolicy, ServerFaults};
-use crate::miss::{build_miss_state, MissState, RoutedHandle};
+use crate::miss::{build_miss_state, LruBackedMiss, MissState, RoutedHandle};
 
 /// One key's outcome at a memcached server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,10 +143,11 @@ pub struct ServerSimParams<'a> {
     pub faults: ServerFaults,
     /// Client resilience policy (passive by default).
     pub client: ClientPolicy,
-    /// Sampling block size (≥ 1). Above 1, eligible runs (no faults, no
-    /// timeout, fixed-ratio misses) take the block-batched fast path;
-    /// `1` forces the scalar loop. Both consume the RNG stream in the
-    /// same order, so the choice is invisible in the output.
+    /// Sampling block size (≥ 1). Above 1, healthy runs (no faults, no
+    /// timeout), fixed-ratio and cache-backed alike, take the
+    /// block-batched fast path; `1` forces the scalar loop. Both consume
+    /// the RNG stream in the same order, so the choice is invisible in
+    /// the output.
     pub block: usize,
 }
 
@@ -250,6 +256,13 @@ pub struct BlockScratch {
     latency: Vec<f64>,
     /// Miss decisions.
     missed: Vec<bool>,
+    /// Key ids the LRU lanes' decisions sampled.
+    keys: Vec<u64>,
+    /// Per staged batch on the LRU lanes: its keys' draws beyond
+    /// `LRU_KEY_DRAWS`.
+    batch_extra_draws: Vec<u64>,
+    /// Per staged batch on the LRU lanes: resident store items after it.
+    batch_items: Vec<u64>,
 }
 
 impl BlockScratch {
@@ -264,6 +277,22 @@ impl BlockScratch {
         self.arrival.clear();
         self.svc_bits.clear();
         self.miss_bits.clear();
+        self.missed.clear();
+        self.keys.clear();
+        self.batch_extra_draws.clear();
+        self.batch_items.clear();
+    }
+
+    /// Serves the staged keys: transforms the banked service bits
+    /// through the SIMD-dispatched kernel (bit-identical to the scalar
+    /// `-dln(u)/μ` the attempt path draws), then runs the Lindley scan
+    /// into the departure lane.
+    fn serve(&mut self, service_rate: f64, station: &mut FcfsStation) {
+        self.service.clear();
+        memlat_dist::simd::exp_from_bits(&self.svc_bits, service_rate, &mut self.service);
+        self.depart.clear();
+        self.depart.resize(self.arrival.len(), 0.0);
+        station.submit_block(&self.arrival, &self.service, &mut self.depart);
     }
 }
 
@@ -361,7 +390,7 @@ fn process_attempt<S: RecordSink, R: RngCore>(
     t: f64,
     key: PendingKey,
     st: &mut LoopState<S>,
-    decider: &mut dyn MissState,
+    decider: &mut MissState,
     env: &AttemptEnv<'_>,
     rng: &mut R,
 ) {
@@ -454,18 +483,17 @@ where
     S: RecordSink,
     R: RngCore + Clone,
 {
-    let mut arrivals = BatchArrivals::new(p.interarrival, p.concurrency)?;
+    let mut arrivals = BatchArrivals::new(p.interarrival.clone(), p.concurrency)?;
     let mut decider = build_miss_state(
         p.miss_mode,
         p.miss_ratio,
         p.popularity.as_ref(),
         p.routed.as_ref(),
     )?;
-    let fixed = decider.fixed_ratio();
     let horizon = p.warmup + p.duration;
     let env = AttemptEnv {
         service_rate: p.service_rate,
-        cache_backed: fixed.is_none(),
+        cache_backed: decider.fixed_ratio().is_none(),
         client: p.client,
         faults: &p.faults,
     };
@@ -479,137 +507,17 @@ where
     };
 
     // The block path needs every staged key to take the straight-line
-    // serve→decide route: no crash/slowdown windows, no timeout (both
+    // serve→decide route: no crash/slowdown windows and no timeout (both
     // can fail an attempt mid-block, and without them no retry is ever
-    // scheduled), and a miss decision that is a pure coin flip.
-    let use_block =
-        p.block > 1 && p.faults.is_empty() && p.client.timeout.is_none() && fixed.is_some();
+    // scheduled).
+    let use_block = p.block > 1 && p.faults.is_empty() && p.client.timeout.is_none();
+    let mut kept_store = None;
     if use_block {
-        let fixed_r = fixed.expect("block eligibility requires a fixed miss ratio");
-        let draw_miss = fixed_r > 0.0;
-        let mut pending: Option<(f64, u64)> = None;
-        let mut done = false;
-        // Warm-up keys stay on the scalar path (service draws only, no
-        // records), so blocks never straddle the measurement boundary
-        // and every staged key is measured.
-        loop {
-            let (t, batch) = arrivals.next_batch_with(rng);
-            if t >= horizon {
-                done = true;
-                break;
+        match &mut decider {
+            MissState::Fixed(f) => fixed_lanes(f.ratio(), &mut arrivals, &p, rng, scratch, &mut st),
+            MissState::Lru(lru) => {
+                kept_store = Some(lru_lanes(lru, &mut arrivals, &p, rng, scratch, &mut st));
             }
-            if t >= p.warmup {
-                pending = Some((t, batch));
-                break;
-            }
-            let key = PendingKey {
-                first_arrival: t,
-                attempts: 0,
-                measured: false,
-            };
-            for _ in 0..batch {
-                process_attempt(t, key, &mut st, &mut *decider, &env, rng);
-            }
-        }
-        let key_draws = 1 + usize::from(draw_miss);
-        while !done {
-            scratch.clear();
-            // Stage ≥ block keys (a batch is never split), banking the
-            // raw bits of each key's draws in exactly the scalar order:
-            // service uniform, then — when r > 0 — the miss uniform. The
-            // warm-up loop's first post-warmup batch seeds the first
-            // block; the rest come from the block arrival driver.
-            if let Some((t, batch)) = pending.take() {
-                for _ in 0..batch {
-                    scratch.arrival.push(t);
-                    scratch.svc_bits.push(rng.next_u64());
-                    if draw_miss {
-                        scratch.miss_bits.push(rng.next_u64());
-                    }
-                }
-            }
-            if scratch.arrival.len() < p.block {
-                // The driver leaves the RNG at exactly the scalar stream
-                // position, rewinding past any speculative tail.
-                let BlockScratch {
-                    arrival,
-                    arrival_lanes,
-                    svc_bits,
-                    miss_bits,
-                    ..
-                } = &mut *scratch;
-                done = arrivals.fill_block_speculative(
-                    rng,
-                    horizon,
-                    p.block - arrival.len(),
-                    key_draws,
-                    arrival_lanes,
-                    |batch, rng| {
-                        for _ in 0..batch {
-                            svc_bits.push(rng.next_u64());
-                            if draw_miss {
-                                miss_bits.push(rng.next_u64());
-                            }
-                        }
-                    },
-                );
-                // Expand kept batches into the per-key arrival lane,
-                // then drop the over-generated tail of the key lanes.
-                for (&t, &b) in arrival_lanes.times().iter().zip(arrival_lanes.sizes()) {
-                    arrival.extend(std::iter::repeat_n(t, b as usize));
-                }
-                if done {
-                    svc_bits.truncate(arrival.len());
-                    if draw_miss {
-                        miss_bits.truncate(arrival.len());
-                    }
-                }
-            }
-            let n = scratch.arrival.len();
-            if n == 0 {
-                break;
-            }
-            // Deferred pure transforms, one contiguous lane at a time. The
-            // service lane runs through the SIMD-dispatched kernel, which
-            // is bit-identical to the scalar `-dln(u)/μ` the attempt path
-            // draws.
-            scratch.service.clear();
-            memlat_dist::simd::exp_from_bits(
-                &scratch.svc_bits,
-                p.service_rate,
-                &mut scratch.service,
-            );
-            scratch.depart.clear();
-            scratch.depart.resize(n, 0.0);
-            st.station
-                .submit_block(&scratch.arrival, &scratch.service, &mut scratch.depart);
-            scratch.latency.clear();
-            scratch.latency.extend(
-                scratch
-                    .arrival
-                    .iter()
-                    .zip(&scratch.depart)
-                    .map(|(&a, &d)| d - a),
-            );
-            scratch.missed.clear();
-            if draw_miss {
-                scratch.missed.extend(
-                    scratch
-                        .miss_bits
-                        .iter()
-                        .map(|&b| memlat_dist::open_unit_from_bits(b) < fixed_r),
-                );
-            } else {
-                scratch.missed.resize(n, false);
-            }
-            st.recorded += n as u64;
-            st.misses += scratch.missed.iter().map(|&m| u64::from(m)).sum::<u64>();
-            st.sink.record_block(&KeyBlock {
-                arrival: &scratch.arrival,
-                completion: &scratch.depart,
-                latency: &scratch.latency,
-                missed: &scratch.missed,
-            });
         }
     } else {
         loop {
@@ -620,7 +528,7 @@ where
             // Replay retries due up to (and at) this batch's arrival first,
             // keeping the station's arrival stream time-ordered.
             while let Some((u, key)) = st.retry_q.pop_before(t) {
-                process_attempt(u, key, &mut st, &mut *decider, &env, rng);
+                process_attempt(u, key, &mut st, &mut decider, &env, rng);
             }
             let fresh = PendingKey {
                 first_arrival: t,
@@ -628,7 +536,7 @@ where
                 measured: t >= p.warmup,
             };
             for _ in 0..batch {
-                process_attempt(t, fresh, &mut st, &mut *decider, &env, rng);
+                process_attempt(t, fresh, &mut st, &mut decider, &env, rng);
             }
         }
     }
@@ -636,11 +544,17 @@ where
     // every issued key resolves (served or forced) — conservation. (The
     // block path schedules none; the queue is already empty there.)
     while let Some((u, key)) = st.retry_q.pop() {
-        process_attempt(u, key, &mut st, &mut *decider, &env, rng);
+        process_attempt(u, key, &mut st, &mut decider, &env, rng);
     }
 
+    // The LRU lanes report the store as of the last kept key: their
+    // speculative tail may have touched it past the horizon.
+    let (observed_miss_ratio, cached_items) = match kept_store {
+        Some((ratio, items)) => (Some(ratio), items),
+        None => (decider.observed_miss_ratio(), decider.cached_items()),
+    };
     let recorded = st.recorded as f64;
-    let miss_ratio = decider.observed_miss_ratio().unwrap_or(if recorded > 0.0 {
+    let miss_ratio = observed_miss_ratio.unwrap_or(if recorded > 0.0 {
         st.misses as f64 / recorded
     } else {
         0.0
@@ -662,8 +576,277 @@ where
         key_rate: recorded / p.duration,
         counters,
         resilience,
-        cached_items: decider.cached_items(),
+        cached_items,
     })
+}
+
+/// The fixed-ratio block lanes. Warm-up keys are served one at a time
+/// (a service draw each, no miss uniform, no record), so blocks never
+/// straddle the measurement boundary. Measured keys then go a block at a
+/// time: their service and miss bits are banked in stream order, the
+/// transforms and the Lindley scan run as slice scans, and the block
+/// reaches [`RecordSink::record_block`].
+fn fixed_lanes<S: RecordSink, R: RngCore + Clone>(
+    fixed_r: f64,
+    arrivals: &mut BatchArrivals,
+    p: &ServerSimParams<'_>,
+    rng: &mut R,
+    scratch: &mut BlockScratch,
+    st: &mut LoopState<S>,
+) {
+    let horizon = p.warmup + p.duration;
+    let draw_miss = fixed_r > 0.0;
+    let mut pending: Option<(f64, u64)> = None;
+    let mut done = false;
+    loop {
+        let (t, batch) = arrivals.next_batch_with(rng);
+        if t >= horizon {
+            done = true;
+            break;
+        }
+        if t >= p.warmup {
+            pending = Some((t, batch));
+            break;
+        }
+        for _ in 0..batch {
+            st.station.submit(t, exp_sample(p.service_rate, rng));
+        }
+    }
+    let key_draws = 1 + usize::from(draw_miss);
+    while !done {
+        scratch.clear();
+        // Stage ≥ block keys (a batch is never split), banking the
+        // raw bits of each key's draws in exactly the scalar order:
+        // service uniform, then — when r > 0 — the miss uniform. The
+        // warm-up loop's first post-warmup batch seeds the first
+        // block; the rest come from the block arrival driver.
+        if let Some((t, batch)) = pending.take() {
+            for _ in 0..batch {
+                scratch.arrival.push(t);
+                scratch.svc_bits.push(rng.next_u64());
+                if draw_miss {
+                    scratch.miss_bits.push(rng.next_u64());
+                }
+            }
+        }
+        if scratch.arrival.len() < p.block {
+            // The driver leaves the RNG at exactly the scalar stream
+            // position, rewinding past any speculative tail.
+            let BlockScratch {
+                arrival,
+                arrival_lanes,
+                svc_bits,
+                miss_bits,
+                ..
+            } = &mut *scratch;
+            done = arrivals.fill_block_speculative(
+                rng,
+                horizon,
+                p.block - arrival.len(),
+                key_draws,
+                arrival_lanes,
+                |batch, rng| {
+                    for _ in 0..batch {
+                        svc_bits.push(rng.next_u64());
+                        if draw_miss {
+                            miss_bits.push(rng.next_u64());
+                        }
+                    }
+                },
+            );
+            // Expand kept batches into the per-key arrival lane,
+            // then drop the over-generated tail of the key lanes.
+            expand_arrivals(arrival_lanes, arrival);
+            if done {
+                svc_bits.truncate(arrival.len());
+                if draw_miss {
+                    miss_bits.truncate(arrival.len());
+                }
+            }
+        }
+        let n = scratch.arrival.len();
+        if n == 0 {
+            break;
+        }
+        scratch.serve(p.service_rate, &mut st.station);
+        scratch.latency.clear();
+        scratch.latency.extend(
+            scratch
+                .arrival
+                .iter()
+                .zip(&scratch.depart)
+                .map(|(&a, &d)| d - a),
+        );
+        if draw_miss {
+            scratch.missed.extend(
+                scratch
+                    .miss_bits
+                    .iter()
+                    .map(|&b| memlat_dist::open_unit_from_bits(b) < fixed_r),
+            );
+        } else {
+            scratch.missed.resize(n, false);
+        }
+        st.recorded += n as u64;
+        st.misses += scratch.missed.iter().map(|&m| u64::from(m)).sum::<u64>();
+        st.sink.record_block(&KeyBlock {
+            arrival: &scratch.arrival,
+            completion: &scratch.depart,
+            latency: &scratch.latency,
+            missed: &scratch.missed,
+        });
+    }
+}
+
+/// Raw `next_u64` draws each LRU-lane key always makes: the service
+/// uniform and the key draw's first uniform. A miss adds the value-size
+/// draw, and rejection-inversion may add key draws.
+const LRU_KEY_DRAWS: usize = 2;
+
+/// The LRU-backed block lanes: one [`BatchArrivals::fill_block_speculative`]
+/// pass from t = 0 to the horizon, warm-up keys included — a warm-up key
+/// draws exactly what a measured key draws, so no scalar warm-up is
+/// needed. While the driver stages keys, its `draw_keys` closure banks
+/// each key's service bits and runs its miss decision in stream order
+/// (exact because [`LruBackedMiss`] never stores an expiring item, so
+/// the decision cannot depend on the departure time it has not got yet).
+/// The service transform and the Lindley scan then run as slice scans,
+/// and keys that arrived after warm-up reach [`RecordSink::record`] with
+/// their key ids ([`KeyBlock`] has no key lane).
+///
+/// Two fix-ups keep a horizon crossing exact. The driver rewinds and
+/// replays [`LRU_KEY_DRAWS`] per kept key, so the kept keys' remaining
+/// draws (counted per batch) are replayed here. And the speculative
+/// tail's decisions already touched the store, so the store's miss
+/// ratio and resident items are returned as of the last kept key,
+/// rebuilt from integer counts.
+fn lru_lanes<S: RecordSink, R: RngCore + Clone>(
+    decider: &mut LruBackedMiss,
+    arrivals: &mut BatchArrivals,
+    p: &ServerSimParams<'_>,
+    rng: &mut R,
+    scratch: &mut BlockScratch,
+    st: &mut LoopState<S>,
+) -> (f64, u64) {
+    let horizon = p.warmup + p.duration;
+    // The store's lookups as of the last kept key (its own counters
+    // also see the speculative tail).
+    let StoreStats {
+        mut hits,
+        mut misses,
+        ..
+    } = decider.store_stats();
+    let mut items = decider.cached_items();
+    loop {
+        scratch.clear();
+        let BlockScratch {
+            arrival,
+            arrival_lanes,
+            svc_bits,
+            keys,
+            missed,
+            batch_extra_draws,
+            batch_items,
+            ..
+        } = &mut *scratch;
+        let done = arrivals.fill_block_speculative(
+            rng,
+            horizon,
+            p.block,
+            LRU_KEY_DRAWS,
+            arrival_lanes,
+            |batch, rng| {
+                let mut counted = CountingRng { rng, draws: 0 };
+                for _ in 0..batch {
+                    svc_bits.push(counted.rng.next_u64());
+                    // Any `now` decides alike: no stored item expires.
+                    let (m, k) = decider.decide(0.0, &mut counted);
+                    missed.push(m);
+                    keys.push(k);
+                }
+                // The key draws' first uniforms are in LRU_KEY_DRAWS.
+                batch_extra_draws.push(counted.draws - batch);
+                batch_items.push(decider.cached_items());
+            },
+        );
+        expand_arrivals(arrival_lanes, arrival);
+        let n = arrival.len();
+        let kept_batches = arrival_lanes.sizes().len();
+        if batch_items.len() > kept_batches {
+            // A crossing with a speculative tail: the driver rewound to
+            // the block's start and replayed LRU_KEY_DRAWS per kept key.
+            let extra: u64 = batch_extra_draws[..kept_batches].iter().sum();
+            for _ in 0..extra {
+                rng.next_u64();
+            }
+            svc_bits.truncate(n);
+            keys.truncate(n);
+            missed.truncate(n);
+        }
+        if kept_batches > 0 {
+            items = batch_items[kept_batches - 1];
+        }
+        let block_misses = missed.iter().map(|&m| u64::from(m)).sum::<u64>();
+        misses += block_misses;
+        hits += n as u64 - block_misses;
+        if n == 0 {
+            break;
+        }
+        scratch.serve(p.service_rate, &mut st.station);
+        let first = scratch.arrival.partition_point(|&a| a < p.warmup);
+        for i in first..n {
+            let (arrival, completion) = (scratch.arrival[i], scratch.depart[i]);
+            let missed = scratch.missed[i];
+            st.misses += u64::from(missed);
+            st.emit(KeyRecord {
+                arrival,
+                completion,
+                server_latency: completion - arrival,
+                missed,
+                key: scratch.keys[i],
+                forced: false,
+                attempts: 1,
+                degraded: false,
+            });
+        }
+        if done {
+            break;
+        }
+    }
+    let kept = StoreStats {
+        hits,
+        misses,
+        ..StoreStats::default()
+    };
+    (kept.miss_ratio(), items)
+}
+
+/// Expands kept batches into the per-key arrival lane.
+fn expand_arrivals(lanes: &ArrivalScratch, arrival: &mut Vec<f64>) {
+    for (&t, &b) in lanes.times().iter().zip(lanes.sizes()) {
+        arrival.extend(std::iter::repeat_n(t, b as usize));
+    }
+}
+
+/// Counts the raw `next_u64` draws made through it — the LRU lanes'
+/// record of the draws a key makes beyond [`LRU_KEY_DRAWS`]. Every draw
+/// on the decision path is a `next_u64`; `next_u32` and `fill_bytes` are
+/// defined through it, so the count is always the stream position.
+struct CountingRng<'a, R: ?Sized> {
+    rng: &'a mut R,
+    draws: u64,
+}
+
+impl<R: RngCore + ?Sized> RngCore for CountingRng<'_, R> {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.next_u64()
+    }
+
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
 }
 
 /// Simulates one memcached server and collects every per-key record —

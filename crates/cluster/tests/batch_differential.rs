@@ -202,3 +202,169 @@ fn inert_timeout_output_is_block_size_independent() {
     assert_eq!(fnv1a_records(&a), fnv1a_records(&b));
     assert_eq!(a.summaries(), b.summaries());
 }
+
+/// One cache-backed server through `simulate_server` at `block`: the
+/// Facebook batch and service laws over the given gap law.
+fn lru_server(
+    mode: &memlat_cluster::MissMode,
+    gaps: memlat_dist::GapLaw,
+    routed: Option<memlat_cluster::RoutedHandle>,
+    warmup: f64,
+    block: usize,
+    seed: u64,
+) -> (memlat_cluster::server::ServerRun, u64) {
+    use memlat_cluster::fault::{ClientPolicy, ServerFaults};
+    use memlat_cluster::server::{simulate_server, ServerSimParams};
+    use memlat_workload::facebook;
+    use rand::{RngCore, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let run = simulate_server(
+        ServerSimParams {
+            interarrival: gaps,
+            concurrency: facebook::CONCURRENCY_Q,
+            service_rate: facebook::SERVICE_RATE,
+            miss_ratio: 0.0,
+            miss_mode: mode,
+            popularity: None,
+            routed,
+            warmup,
+            duration: 0.3,
+            faults: ServerFaults::none(),
+            client: ClientPolicy::none(),
+            block,
+        },
+        &mut rng,
+    )
+    .unwrap();
+    (run, rng.next_u64())
+}
+
+/// The LRU block lanes against the scalar attempt path (`block = 1`),
+/// per server: records (key ids included), counters, the store's miss
+/// ratio and resident items as of the last kept key, utilization, and
+/// the RNG's stream position afterwards. Covers the alias sampler
+/// (≤ 2²⁰ keys, routed and independent) and rejection-inversion
+/// (> 2²⁰ keys, a variable draw count per key), the speculative GP
+/// driver and the in-place Erlang one, with and without warm-up. Block
+/// 2²² stages the whole run speculatively, so its horizon tail is the
+/// largest.
+#[test]
+fn lru_lanes_match_the_scalar_attempt_path_per_server() {
+    use memlat_cluster::{CacheBackedConfig, CacheRouting, MissMode, RoutedHandle};
+    use memlat_dist::{Gamma, GapLaw, GeneralizedPareto};
+    use memlat_workload::{RoutedKeyspace, ZipfPopularity};
+    use std::sync::Arc;
+    let cache = |keyspace: u64, routing: CacheRouting| {
+        MissMode::CacheBacked(CacheBackedConfig {
+            memory_bytes: 4 << 20,
+            keyspace,
+            skew: 1.05,
+            mean_value_bytes: 300.0,
+            routing,
+        })
+    };
+    let ring = RoutedKeyspace::new(&ZipfPopularity::new(200_000, 1.05).unwrap(), 3, 64).unwrap();
+    let routed = RoutedHandle {
+        keyspace: Arc::new(ring),
+        server: 2,
+    };
+    let gp = GapLaw::from(GeneralizedPareto::facebook(0.15, 56_250.0).unwrap());
+    let erlang = GapLaw::from(Gamma::erlang(4, 1.0 / 56_250.0).unwrap());
+    let cases = [
+        (
+            "alias",
+            cache(200_000, CacheRouting::Independent),
+            None,
+            &gp,
+        ),
+        (
+            "routed",
+            cache(200_000, CacheRouting::ConsistentHash { vnodes: 64 }),
+            Some(routed),
+            &gp,
+        ),
+        (
+            "rejection",
+            cache(2_000_000, CacheRouting::Independent),
+            None,
+            &gp,
+        ),
+        (
+            "rejection-erlang",
+            cache(2_000_000, CacheRouting::Independent),
+            None,
+            &erlang,
+        ),
+    ];
+    for (i, (name, mode, handle, gaps)) in cases.iter().enumerate() {
+        for warmup in [0.0, 0.15] {
+            let seed = 0x1a0e + i as u64;
+            let (want, want_next) =
+                lru_server(mode, (*gaps).clone(), handle.clone(), warmup, 1, seed);
+            assert!(want.records.len() > 5_000, "{name}: too few keys");
+            assert!(want.records.iter().any(|r| r.missed), "{name}: no misses");
+            for block in [2usize, 37, 1024, 1 << 22] {
+                let at = format!("{name} warmup={warmup} block={block}");
+                let (got, got_next) =
+                    lru_server(mode, (*gaps).clone(), handle.clone(), warmup, block, seed);
+                assert_eq!(got.records, want.records, "{at}: records");
+                assert_eq!(got.counters, want.counters, "{at}: counters");
+                assert_eq!(
+                    got.miss_ratio.to_bits(),
+                    want.miss_ratio.to_bits(),
+                    "{at}: store miss ratio"
+                );
+                assert_eq!(got.cached_items, want.cached_items, "{at}: cached items");
+                assert_eq!(
+                    got.utilization.to_bits(),
+                    want.utilization.to_bits(),
+                    "{at}: utilization"
+                );
+                assert_eq!(got.key_rate.to_bits(), want.key_rate.to_bits(), "{at}");
+                assert_eq!(got_next, want_next, "{at}: RNG stream position");
+            }
+        }
+    }
+}
+
+/// A routed, coalesced, LRU-backed cluster is block- and
+/// thread-invariant: the scalar reference (block 1, one thread) against
+/// the default block and 2²², at one and four threads.
+#[test]
+fn lru_lanes_are_bit_identical_on_a_routed_coalesced_cluster() {
+    use memlat_cluster::{CacheBackedConfig, CacheRouting, MissMode, MissRelay};
+    let params = ModelParams::builder()
+        .key_rate_per_server(40_000.0)
+        .build()
+        .unwrap();
+    let base = SimConfig::new(params)
+        .duration(0.3)
+        .warmup(0.1)
+        .seed(0x1a0c)
+        .miss_relay(MissRelay::Coalesced)
+        .miss_mode(MissMode::CacheBacked(CacheBackedConfig {
+            memory_bytes: 4 << 20,
+            keyspace: 300_000,
+            skew: 1.1,
+            mean_value_bytes: 300.0,
+            routing: CacheRouting::ConsistentHash { vnodes: 128 },
+        }));
+    let reference = ClusterSim::run(&base.clone().threads(1).block(1)).unwrap();
+    assert!(reference.coalesce().delayed_hits > 0);
+    for block in [1usize, 0, 1 << 22] {
+        for threads in [1usize, 4] {
+            let at = format!("block={block} threads={threads}");
+            let got = ClusterSim::run(&base.clone().threads(threads).block(block)).unwrap();
+            assert_eq!(fnv1a_records(&got), fnv1a_records(&reference), "{at}");
+            assert_eq!(got.summaries(), reference.summaries(), "{at}");
+            assert_eq!(got.db_latency_stats(), reference.db_latency_stats(), "{at}");
+            assert_eq!(got.coalesce(), reference.coalesce(), "{at}");
+            assert_eq!(
+                got.miss_ratio().to_bits(),
+                reference.miss_ratio().to_bits(),
+                "{at}"
+            );
+            assert_eq!(got.cached_items(), reference.cached_items(), "{at}");
+        }
+    }
+}

@@ -1,16 +1,20 @@
 //! Differential proof that the miss-state refactor (the `MissState`
-//! trait behind fixed-ratio and LRU-backed deciders, plus consistent-
-//! hash routing) is invisible to the analytic fixed-ratio mode — and
-//! *visible* where it must be.
+//! deciders, fixed-ratio and LRU-backed, plus consistent-hash routing)
+//! is invisible to the analytic fixed-ratio mode — and *visible* where
+//! it must be.
 //!
-//! The fingerprint constant below was captured at the refactor boundary
-//! from the pre-trait simulator's output (which the fault-differential
-//! goldens independently pin back to commit `008cca9`). Fixed-ratio runs
-//! must reproduce it bit-for-bit at every thread count and block size:
-//! if this test fails, the analytic hot path changed — a regression, not
-//! a tolerance issue.
+//! The first fingerprint constant below was captured at the refactor
+//! boundary from the pre-`MissState` simulator's output (which the
+//! fault-differential goldens independently pin back to commit
+//! `008cca9`). Fixed-ratio runs must reproduce it bit-for-bit at every
+//! thread count and block size: if this test fails, the analytic hot
+//! path changed — a regression, not a tolerance issue. The second pins
+//! a routed, coalesced, LRU-backed run the same way.
 
-use memlat_cluster::{CacheBackedConfig, CacheRouting, ClusterSim, MissMode, SimConfig, SimOutput};
+use memlat_cluster::{
+    CacheBackedConfig, CacheRouting, ClusterSim, MissMode, MissRelay, Retention, SimConfig,
+    SimOutput,
+};
 use memlat_model::ModelParams;
 
 const SEED: u64 = 0x70e7;
@@ -18,6 +22,12 @@ const SEED: u64 = 0x70e7;
 /// Golden FNV-1a fingerprint of the fixed-ratio run at `config()`,
 /// captured from the pre-`MissState` simulator.
 const GOLDEN_FIXED_FNV: u64 = 0x3af6_61dd_e724_d184;
+
+/// Golden FNV-1a fingerprint of the routed, coalesced, LRU-backed run at
+/// `lru_golden_config()` ([`fnv1a_lru`]: records plus store and
+/// coalescing counters), captured while every cache-backed key still
+/// took the scalar attempt path.
+const GOLDEN_LRU_FNV: u64 = 0xe3a7_b621_2d8f_a39a;
 
 fn config() -> SimConfig {
     let params = ModelParams::builder().build().unwrap();
@@ -64,6 +74,59 @@ fn fnv1a_records(out: &SimOutput) -> u64 {
         }
     }
     h
+}
+
+/// FNV-1a over everything a cache-backed run reports per server: the
+/// `(s, d)` record bits of [`fnv1a_records`], then per server the
+/// utilization bits, jobs, misses, resident items and coalescing
+/// counters, then the cluster's emergent miss ratio bits.
+fn fnv1a_lru(out: &SimOutput) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut h = fnv1a_records(out);
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    for s in out.summaries() {
+        eat(s.utilization.to_bits());
+        eat(s.counters.jobs);
+        eat(s.counters.misses);
+        eat(s.cached_items);
+        eat(s.coalesce.dispatched);
+        eat(s.coalesce.delayed_hits);
+        eat(s.coalesce.wait_time.to_bits());
+    }
+    eat(out.miss_ratio().to_bits());
+    h
+}
+
+/// A routed, coalesced, LRU-backed run keeping every record.
+fn lru_golden_config() -> SimConfig {
+    routed_config()
+        .miss_mode(MissMode::CacheBacked(routed_cache()))
+        .miss_relay(MissRelay::Coalesced)
+        .retention(Retention::Full)
+}
+
+/// Cache-backed output is pinned, not only compared with itself: every
+/// thread count and block size reproduces the fingerprint captured
+/// from the scalar attempt path.
+#[test]
+fn lru_run_matches_its_golden_fingerprint() {
+    for threads in [1usize, 4] {
+        for block in [1usize, 1024, 1 << 22] {
+            let out = ClusterSim::run(&lru_golden_config().threads(threads).block(block)).unwrap();
+            assert!(out.miss_ratio() > 0.0 && out.coalesce().delayed_hits > 0);
+            assert_eq!(
+                fnv1a_lru(&out),
+                GOLDEN_LRU_FNV,
+                "threads={threads} block={block}: cache-backed output moved ({:#018x})",
+                fnv1a_lru(&out)
+            );
+        }
+    }
 }
 
 /// The tentpole's safety contract: fixed-ratio output is bit-identical

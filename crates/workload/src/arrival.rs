@@ -146,9 +146,10 @@ impl BatchArrivals {
     /// driver of every gap law.
     ///
     /// `draw_keys(size, rng)` runs once per staged batch, in stream
-    /// order, so callers can bank their own per-key draws; it must
-    /// consume exactly `key_draws` raw `u64`s per key. When the horizon
-    /// is crossed, callers truncate their key lanes to the kept keys.
+    /// order, so callers can bank their own per-key draws; it consumes
+    /// at least `key_draws` raw `u64`s per key, and only `next_u64`
+    /// draws. When the horizon is crossed, callers truncate their key
+    /// lanes to the kept keys.
     ///
     /// Laws with a bits kernel (exponential, Generalized Pareto — see
     /// [`GapLaw::has_bits_kernel`]) stage speculatively: raw gap bits are
@@ -165,6 +166,16 @@ impl BatchArrivals {
     /// would have consumed — gap and batch-size draws for the kept
     /// batches *and* the terminal crossing batch, plus `key_draws` per
     /// kept key.
+    ///
+    /// `key_draws` is all the replay knows of the keys. A caller whose
+    /// keys draw a variable count (a miss decision that draws a value
+    /// size only on a miss, a rejection sampler) passes the fixed part
+    /// and tops up the rest: after a crossing that discarded staged
+    /// batches (`draw_keys` ran for more batches than
+    /// [`ArrivalScratch::sizes`] keeps), it advances the RNG by exactly
+    /// the kept keys' draws beyond `key_draws`, for example counted
+    /// through an RNG adapter inside `draw_keys`. Side effects of the
+    /// discarded batches' `draw_keys` calls are the caller's to undo.
     ///
     /// The other laws (deterministic, Erlang, uniform, hyperexponential)
     /// draw each gap in place through `next_batch_with` and test the

@@ -79,7 +79,7 @@ impl AliasTable {
 
     /// Draws a 0-based key id from one uniform.
     #[inline]
-    fn sample(&self, rng: &mut dyn RngCore) -> KeyId {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> KeyId {
         let n = self.prob.len();
         let x = memlat_dist::open_unit(rng) * n as f64;
         let i = (x as usize).min(n - 1);
@@ -165,8 +165,9 @@ impl WeightedAlias {
     }
 
     /// Draws a 0-based cell index from one uniform.
+    #[inline]
     #[must_use]
-    pub fn sample(&self, rng: &mut dyn RngCore) -> usize {
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
         let n = self.prob.len();
         let x = memlat_dist::open_unit(rng) * n as f64;
         let i = (x as usize).min(n - 1);
@@ -259,11 +260,12 @@ impl ZipfPopularity {
     /// Samples a key; hot keys (low ids) are sampled more often.
     ///
     /// Returned ids are 0-based (`rank − 1`).
+    #[inline]
     #[must_use]
-    pub fn sample_key(&self, rng: &mut dyn RngCore) -> KeyId {
+    pub fn sample_key<R: RngCore + ?Sized>(&self, rng: &mut R) -> KeyId {
         match &self.alias {
             Some(table) => table.sample(rng),
-            None => self.zipf.sample(rng) - 1,
+            None => self.zipf.sample_with(rng) - 1,
         }
     }
 

@@ -175,8 +175,9 @@ impl RoutedKeyspace {
     ///
     /// Panics if the server owns no keys (its share is zero, so a
     /// correctly thinned stream never asks it for one).
+    #[inline]
     #[must_use]
-    pub fn sample_key(&self, server: usize, rng: &mut dyn RngCore) -> KeyId {
+    pub fn sample_key<R: RngCore + ?Sized>(&self, server: usize, rng: &mut R) -> KeyId {
         let sampler = self.samplers[server]
             .as_ref()
             .expect("zero-share server received a key draw");
