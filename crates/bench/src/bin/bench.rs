@@ -20,7 +20,8 @@
 //! `--digest` runs one fixed scaled-cluster config at the given thread
 //! count and prints a FNV-1a fingerprint of the full streaming output;
 //! CI byte-diffs the 1-thread and 4-thread digests to prove the
-//! sharded event merge is execution-order independent.
+//! sharded event merge is execution-order independent, and diffs each
+//! against the committed `crates/bench/expected_digest.txt`.
 //!
 //! Each scenario runs in a **fresh child process** (the binary re-execs
 //! itself with `--one`), so the reported peak RSS (`VmHWM`, which only

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use memlat_des::fcfs::FcfsStation;
 use memlat_dist::{Binomial, Discrete};
 use rand::RngCore;
 
@@ -22,6 +21,42 @@ pub struct MissArrival {
     /// The key that missed, or [`NO_KEY`] when the miss has no key
     /// identity. Only meaningful to the coalescing relay.
     pub key: u64,
+}
+
+/// The database shards as the stage sees them: the last departure of
+/// each shard, plus the round-robin cursor. A shard is an FCFS `M/M/1`
+/// queue, and a fetch's sojourn needs only the previous departure of its
+/// shard, so no other per-shard state is kept.
+struct ShardLanes {
+    /// Last departure per shard, for the shards round-robin can reach.
+    last: Vec<f64>,
+    /// The shard the next dispatched fetch goes to.
+    next: usize,
+    shards: usize,
+}
+
+impl ShardLanes {
+    /// Lanes for at most `fetches` dispatches over `shards` shards:
+    /// round-robin never reaches a shard past the dispatched count, so
+    /// `min(shards, fetches)` lanes suffice.
+    fn new(shards: usize, fetches: usize) -> Self {
+        Self {
+            last: vec![0.0; shards.min(fetches)],
+            next: 0,
+            shards,
+        }
+    }
+
+    /// Dispatches a fetch arriving at `t` with service `svc` to the next
+    /// shard and returns its departure. The float ops are those of
+    /// [`memlat_des::FcfsStation::submit`]: `max(t, last) + svc`.
+    #[inline]
+    fn dispatch(&mut self, t: f64, svc: f64) -> f64 {
+        let last = &mut self.last[self.next];
+        self.next = (self.next + 1) % self.shards;
+        *last = t.max(*last) + svc;
+        *last
+    }
 }
 
 /// Runs the sharded database stage over a **time-sorted** stream of
@@ -64,17 +99,14 @@ pub fn run_db_stage_with(
 ) {
     assert!(shards > 0, "need at least one database shard");
     assert!(mu_d > 0.0, "database service rate must be positive");
-    let mut stations: Vec<FcfsStation> = (0..shards).map(|_| FcfsStation::new()).collect();
-    let mut next = 0usize;
+    let mut lanes = ShardLanes::new(shards, misses.len());
     let mut prev_t = f64::NEG_INFINITY;
     for m in misses {
         assert!(m.time >= prev_t, "misses must be sorted by time");
         prev_t = m.time;
         let svc = -memlat_dist::simd::dln(memlat_dist::open_unit(rng)) / mu_d;
-        let shard = next;
-        next = (next + 1) % shards;
-        let done = stations[shard].submit(m.time, svc);
-        sink(m.origin, done.sojourn());
+        let departure = lanes.dispatch(m.time, svc);
+        sink(m.origin, departure - m.time);
     }
 }
 
@@ -108,12 +140,11 @@ pub fn run_db_stage_coalesced_with(
 ) {
     assert!(shards > 0, "need at least one database shard");
     assert!(mu_d > 0.0, "database service rate must be positive");
-    let mut stations: Vec<FcfsStation> = (0..shards).map(|_| FcfsStation::new()).collect();
+    let mut lanes = ShardLanes::new(shards, misses.len());
     // Completion time of the outstanding fetch per key. Entries whose
     // departure is in the past are stale (the fetch already landed) and
     // are overwritten on the next dispatch for that key.
     let mut outstanding: HashMap<u64, f64> = HashMap::new();
-    let mut next = 0usize;
     let mut prev_t = f64::NEG_INFINITY;
     for m in misses {
         assert!(m.time >= prev_t, "misses must be sorted by time");
@@ -127,13 +158,11 @@ pub fn run_db_stage_coalesced_with(
             }
         }
         let svc = -memlat_dist::simd::dln(memlat_dist::open_unit(rng)) / mu_d;
-        let shard = next;
-        next = (next + 1) % shards;
-        let done = stations[shard].submit(m.time, svc);
+        let departure = lanes.dispatch(m.time, svc);
         if m.key != NO_KEY {
-            outstanding.insert(m.key, done.departure);
+            outstanding.insert(m.key, departure);
         }
-        sink(m.origin, done.sojourn(), false);
+        sink(m.origin, departure - m.time, false);
     }
 }
 
@@ -376,6 +405,96 @@ mod tests {
             out.push((o, d));
         });
         assert_eq!(legacy, out);
+    }
+
+    /// The database stage over one `FcfsStation` per shard:
+    /// `(origin, sojourn bits, delayed)` per miss, and the RNG's next
+    /// draw. With `coalesce`, keyed misses park behind an outstanding
+    /// fetch exactly as in [`run_db_stage_coalesced_with`].
+    fn station_reference(
+        misses: &[MissArrival],
+        shards: usize,
+        mu_d: f64,
+        coalesce: bool,
+        seed: u64,
+    ) -> (Vec<((u32, u32), u64, bool)>, u64) {
+        use memlat_des::FcfsStation;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut stations: Vec<FcfsStation> = (0..shards).map(|_| FcfsStation::new()).collect();
+        let mut outstanding: HashMap<u64, f64> = HashMap::new();
+        let mut next = 0usize;
+        let mut out = Vec::new();
+        for m in misses {
+            if coalesce && m.key != NO_KEY {
+                if let Some(&done_at) = outstanding.get(&m.key) {
+                    if done_at > m.time {
+                        out.push((m.origin, (done_at - m.time).to_bits(), true));
+                        continue;
+                    }
+                }
+            }
+            let svc = -memlat_dist::simd::dln(memlat_dist::open_unit(&mut rng)) / mu_d;
+            let done = stations[next].submit(m.time, svc);
+            next = (next + 1) % shards;
+            if m.key != NO_KEY {
+                outstanding.insert(m.key, done.departure);
+            }
+            out.push((m.origin, done.sojourn().to_bits(), false));
+        }
+        (out, rng.next_u64())
+    }
+
+    #[test]
+    fn shard_lanes_match_per_shard_fcfs_stations() {
+        // Poisson misses at 4 000/s, with ties, over shards of μ_D =
+        // 1 000/s: one or three shards queue, many shards sit idle, so
+        // `max(t, last)` takes both branches. Keys come from a small set
+        // so the coalesced stream repeats keys while their fetches are
+        // outstanding.
+        let mut draw = rand::rngs::StdRng::seed_from_u64(31);
+        let mut t = 0.0;
+        let misses: Vec<MissArrival> = (0..600)
+            .map(|i| {
+                if i % 7 != 0 {
+                    t += -memlat_dist::open_unit(&mut draw).ln() / 4_000.0;
+                }
+                MissArrival {
+                    time: t,
+                    origin: (i % 5, i),
+                    key: if i % 11 == 0 {
+                        NO_KEY
+                    } else {
+                        draw.next_u64() % 40
+                    },
+                }
+            })
+            .collect();
+        // More shards than misses, fewer, one, and empty streams.
+        for (n, shards) in [(600, 1000), (9, 40), (600, 3), (600, 1), (1, 5), (0, 2)] {
+            let stream = &misses[..n];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+            let mut got = Vec::new();
+            run_db_stage_with(stream, shards, 1_000.0, &mut rng, |o, d| {
+                got.push((o, d.to_bits(), false));
+            });
+            let want = station_reference(stream, shards, 1_000.0, false, 32);
+            assert_eq!((got, rng.next_u64()), want, "n={n} shards={shards}");
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+            let mut got = Vec::new();
+            run_db_stage_coalesced_with(stream, shards, 1_000.0, &mut rng, |o, d, delayed| {
+                got.push((o, d.to_bits(), delayed));
+            });
+            let want = station_reference(stream, shards, 1_000.0, true, 33);
+            if n == 600 {
+                assert!(want.0.iter().any(|&(_, _, delayed)| delayed));
+            }
+            assert_eq!(
+                (got, rng.next_u64()),
+                want,
+                "coalesced n={n} shards={shards}"
+            );
+        }
     }
 
     #[test]

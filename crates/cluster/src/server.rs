@@ -12,7 +12,9 @@
 //! lanes ([`BlockScratch`]) of [`ServerSimParams::block`] keys, raw
 //! uniforms are banked per key, and the uniform→law transforms and the
 //! FCFS Lindley recursion run as tight slice scans. Fixed-ratio runs
-//! hand whole blocks to [`RecordSink::record_block`]. Cache-backed
+//! serve their warm-up keys on the lanes up to the warm-up boundary,
+//! then hand whole measured blocks to [`RecordSink::record_block`]
+//! (`fixed_lanes`). Cache-backed
 //! runs make each key's store lookup while the arrival driver stages it,
 //! in stream order, and emit keyed records one at a time; their
 //! horizon fix-ups are documented on the LRU lanes (`lru_lanes`).
@@ -580,12 +582,15 @@ where
     })
 }
 
-/// The fixed-ratio block lanes. Warm-up keys are served one at a time
-/// (a service draw each, no miss uniform, no record), so blocks never
-/// straddle the measurement boundary. Measured keys then go a block at a
-/// time: their service and miss bits are banked in stream order, the
-/// transforms and the Lindley scan run as slice scans, and the block
-/// reaches [`RecordSink::record_block`].
+/// The fixed-ratio block lanes, in two phases. Warm-up keys draw only
+/// their service uniform (no miss uniform, no record): the arrival driver
+/// runs to the warm-up boundary a block at a time, banking each key's
+/// service bits, and the block is served and dropped. The batch that
+/// crosses the boundary (its gap and size drawn, its keys not) seeds the
+/// measured phase, so blocks never straddle it. Measured keys then go a
+/// block at a time: their service and miss bits are banked in stream
+/// order, the transforms and the Lindley scan run as slice scans, and the
+/// block reaches [`RecordSink::record_block`].
 fn fixed_lanes<S: RecordSink, R: RngCore + Clone>(
     fixed_r: f64,
     arrivals: &mut BatchArrivals,
@@ -596,29 +601,39 @@ fn fixed_lanes<S: RecordSink, R: RngCore + Clone>(
 ) {
     let horizon = p.warmup + p.duration;
     let draw_miss = fixed_r > 0.0;
-    let mut pending: Option<(f64, u64)> = None;
-    let mut done = false;
-    loop {
-        let (t, batch) = arrivals.next_batch_with(rng);
-        if t >= horizon {
-            done = true;
-            break;
+    let crossing = loop {
+        scratch.clear();
+        let BlockScratch {
+            arrival,
+            arrival_lanes,
+            svc_bits,
+            ..
+        } = &mut *scratch;
+        arrivals.fill_block_speculative(rng, p.warmup, p.block, 1, arrival_lanes, |batch, rng| {
+            for _ in 0..batch {
+                svc_bits.push(rng.next_u64());
+            }
+        });
+        expand_arrivals(arrival_lanes, arrival);
+        svc_bits.truncate(arrival.len());
+        // Set only by the fill that crossed the warm-up boundary.
+        let crossing = arrival_lanes
+            .crossing_size()
+            .map(|batch| (arrivals.clock(), batch));
+        scratch.serve(p.service_rate, &mut st.station);
+        if let Some(crossing) = crossing {
+            break crossing;
         }
-        if t >= p.warmup {
-            pending = Some((t, batch));
-            break;
-        }
-        for _ in 0..batch {
-            st.station.submit(t, exp_sample(p.service_rate, rng));
-        }
-    }
+    };
+    let mut pending = (crossing.0 < horizon).then_some(crossing);
+    let mut done = pending.is_none();
     let key_draws = 1 + usize::from(draw_miss);
     while !done {
         scratch.clear();
         // Stage ≥ block keys (a batch is never split), banking the
         // raw bits of each key's draws in exactly the scalar order:
         // service uniform, then — when r > 0 — the miss uniform. The
-        // warm-up loop's first post-warmup batch seeds the first
+        // batch that crossed the warm-up boundary seeds the first
         // block; the rest come from the block arrival driver.
         if let Some((t, batch)) = pending.take() {
             for _ in 0..batch {
@@ -872,8 +887,8 @@ pub fn simulate_server<R: RngCore + Clone>(
     })
 }
 
-/// Convenience: draw an exponential service sample (used by the database
-/// stage as well).
+/// Draws one exponential sample at `rate`: the per-key service draw of
+/// the attempt path (`-dln(u)/rate` over one open-unit uniform).
 pub fn exp_sample(rate: f64, rng: &mut impl Rng) -> f64 {
     -memlat_dist::simd::dln(memlat_dist::open_unit(rng)) / rate
 }

@@ -203,11 +203,16 @@ fn inert_timeout_output_is_block_size_independent() {
     assert_eq!(a.summaries(), b.summaries());
 }
 
-/// One cache-backed server through `simulate_server` at `block`: the
-/// Facebook batch and service laws over the given gap law.
-fn lru_server(
+/// One server through `simulate_server` at `block`: the Facebook
+/// service rate, concurrency `q` and model miss ratio `r` (the fixed
+/// ratio; cache-backed modes ignore it) over the given gap law, with a
+/// 0.3 s measured window after `warmup`. Returns the run and the RNG's
+/// next draw.
+fn one_server(
     mode: &memlat_cluster::MissMode,
     gaps: memlat_dist::GapLaw,
+    q: f64,
+    r: f64,
     routed: Option<memlat_cluster::RoutedHandle>,
     warmup: f64,
     block: usize,
@@ -221,9 +226,9 @@ fn lru_server(
     let run = simulate_server(
         ServerSimParams {
             interarrival: gaps,
-            concurrency: facebook::CONCURRENCY_Q,
+            concurrency: q,
             service_rate: facebook::SERVICE_RATE,
-            miss_ratio: 0.0,
+            miss_ratio: r,
             miss_mode: mode,
             popularity: None,
             routed,
@@ -252,6 +257,7 @@ fn lru_server(
 fn lru_lanes_match_the_scalar_attempt_path_per_server() {
     use memlat_cluster::{CacheBackedConfig, CacheRouting, MissMode, RoutedHandle};
     use memlat_dist::{Gamma, GapLaw, GeneralizedPareto};
+    use memlat_workload::facebook::CONCURRENCY_Q as Q;
     use memlat_workload::{RoutedKeyspace, ZipfPopularity};
     use std::sync::Arc;
     let cache = |keyspace: u64, routing: CacheRouting| {
@@ -299,14 +305,30 @@ fn lru_lanes_match_the_scalar_attempt_path_per_server() {
     for (i, (name, mode, handle, gaps)) in cases.iter().enumerate() {
         for warmup in [0.0, 0.15] {
             let seed = 0x1a0e + i as u64;
-            let (want, want_next) =
-                lru_server(mode, (*gaps).clone(), handle.clone(), warmup, 1, seed);
+            let (want, want_next) = one_server(
+                mode,
+                (*gaps).clone(),
+                Q,
+                0.0,
+                handle.clone(),
+                warmup,
+                1,
+                seed,
+            );
             assert!(want.records.len() > 5_000, "{name}: too few keys");
             assert!(want.records.iter().any(|r| r.missed), "{name}: no misses");
             for block in [2usize, 37, 1024, 1 << 22] {
                 let at = format!("{name} warmup={warmup} block={block}");
-                let (got, got_next) =
-                    lru_server(mode, (*gaps).clone(), handle.clone(), warmup, block, seed);
+                let (got, got_next) = one_server(
+                    mode,
+                    (*gaps).clone(),
+                    Q,
+                    0.0,
+                    handle.clone(),
+                    warmup,
+                    block,
+                    seed,
+                );
                 assert_eq!(got.records, want.records, "{at}: records");
                 assert_eq!(got.counters, want.counters, "{at}: counters");
                 assert_eq!(
@@ -322,6 +344,76 @@ fn lru_lanes_match_the_scalar_attempt_path_per_server() {
                 );
                 assert_eq!(got.key_rate.to_bits(), want.key_rate.to_bits(), "{at}");
                 assert_eq!(got_next, want_next, "{at}: RNG stream position");
+            }
+        }
+    }
+}
+
+/// The fixed-ratio block lanes against the scalar attempt path
+/// (`block = 1`), per server: records, counters (the queue high-water
+/// mark and the busy-time bits included), utilization, and the RNG's
+/// stream position afterwards. The warm-up phase runs on the lanes up to
+/// the batch that crosses the warm-up boundary, which then seeds the
+/// measured phase; the warm-ups cover none, one shorter than the first
+/// gap, a mid-run boundary, and one longer than the measured window.
+/// Gaps cover the speculative GP and exponential drivers and the
+/// in-place Erlang and deterministic ones; `q = 0` draws no batch-size
+/// uniform and `r = 0` no miss uniform.
+#[test]
+fn fixed_lanes_match_the_scalar_attempt_path_per_server() {
+    use memlat_dist::{Deterministic, Exponential, Gamma, GapLaw, GeneralizedPareto};
+    let fixed = memlat_cluster::MissMode::FixedRatio;
+    let batch_rate = 56_250.0;
+    let laws = [
+        (
+            "gp",
+            GapLaw::from(GeneralizedPareto::facebook(0.15, batch_rate).unwrap()),
+        ),
+        ("exp", GapLaw::from(Exponential::new(batch_rate).unwrap())),
+        (
+            "erlang",
+            GapLaw::from(Gamma::erlang(4, 1.0 / batch_rate).unwrap()),
+        ),
+        (
+            "det",
+            GapLaw::from(Deterministic::new(1.0 / batch_rate).unwrap()),
+        ),
+    ];
+    for (i, (name, gaps)) in laws.iter().enumerate() {
+        for (j, &(r, q)) in [(0.01, 0.1), (0.0, 0.1), (0.01, 0.0), (0.0, 0.0)]
+            .iter()
+            .enumerate()
+        {
+            for warmup in [0.0, 1e-9, 0.15, 0.5] {
+                let seed = 0xf1ed + 4 * i as u64 + j as u64;
+                let (want, want_next) =
+                    one_server(&fixed, gaps.clone(), q, r, None, warmup, 1, seed);
+                assert!(want.records.len() > 5_000, "{name}: too few keys");
+                assert_eq!(want.records.iter().any(|k| k.missed), r > 0.0, "{name}");
+                for block in [2usize, 37, 1024, 1 << 22] {
+                    let at = format!("{name} r={r} q={q} warmup={warmup} block={block}");
+                    let (got, got_next) =
+                        one_server(&fixed, gaps.clone(), q, r, None, warmup, block, seed);
+                    assert_eq!(got.records, want.records, "{at}: records");
+                    assert_eq!(got.counters, want.counters, "{at}: counters");
+                    assert_eq!(
+                        got.counters.busy_time.to_bits(),
+                        want.counters.busy_time.to_bits(),
+                        "{at}: busy time"
+                    );
+                    assert_eq!(
+                        got.utilization.to_bits(),
+                        want.utilization.to_bits(),
+                        "{at}: utilization"
+                    );
+                    assert_eq!(
+                        got.miss_ratio.to_bits(),
+                        want.miss_ratio.to_bits(),
+                        "{at}: miss ratio"
+                    );
+                    assert_eq!(got.key_rate.to_bits(), want.key_rate.to_bits(), "{at}");
+                    assert_eq!(got_next, want_next, "{at}: RNG stream position");
+                }
             }
         }
     }

@@ -58,6 +58,9 @@ pub struct ArrivalScratch {
     times: Vec<f64>,
     /// Batch sizes, parallel to `times` after the horizon trim.
     sizes: Vec<u64>,
+    /// Size of the batch that crossed the horizon, when this fill
+    /// crossed it.
+    crossing: Option<u64>,
 }
 
 impl ArrivalScratch {
@@ -72,6 +75,7 @@ impl ArrivalScratch {
         self.gaps.clear();
         self.times.clear();
         self.sizes.clear();
+        self.crossing = None;
     }
 
     /// Arrival times of the kept batches, in arrival order.
@@ -84,6 +88,14 @@ impl ArrivalScratch {
     #[must_use]
     pub fn sizes(&self) -> &[u64] {
         &self.sizes
+    }
+
+    /// Size of the batch that crossed the horizon, when the last fill
+    /// crossed it (`None` otherwise). Its gap and size were drawn, its
+    /// keys were not; its time is [`BatchArrivals::clock`].
+    #[must_use]
+    pub fn crossing_size(&self) -> Option<u64> {
+        self.crossing
     }
 
     /// Total keys across the kept batches.
@@ -186,9 +198,12 @@ impl BatchArrivals {
     /// scalar reference exactly, which is what keeps block size invisible
     /// in the output. Returns `true` when the horizon was crossed (the
     /// stream is exhausted); the kept batches are in
-    /// [`ArrivalScratch::times`]/[`ArrivalScratch::sizes`], and the clock
+    /// [`ArrivalScratch::times`]/[`ArrivalScratch::sizes`], the clock
     /// is left exactly where the scalar loop would leave it (the crossing
-    /// batch's time).
+    /// batch's time), and the crossing batch's size is
+    /// [`ArrivalScratch::crossing_size`] — so a caller that runs one
+    /// phase up to an inner horizon can seed the next phase with that
+    /// batch.
     pub fn fill_block_speculative<R, F>(
         &mut self,
         rng: &mut R,
@@ -208,6 +223,7 @@ impl BatchArrivals {
             while staged < min_keys.max(1) {
                 let (t, b) = self.next_batch_with(rng);
                 if t >= horizon {
+                    scratch.crossing = Some(b);
                     return true;
                 }
                 scratch.times.push(t);
@@ -256,6 +272,7 @@ impl BatchArrivals {
         let Some(cut) = cut else {
             return false;
         };
+        scratch.crossing = Some(scratch.sizes[cut]);
         scratch.sizes.truncate(cut);
         let kept_keys: usize = scratch.sizes.iter().map(|&b| b as usize).sum();
         let batch_draws = usize::from(batch.q() > 0.0);
@@ -361,29 +378,31 @@ mod tests {
 
     /// Scalar reference for the speculative driver: the exact
     /// `next_batch_with` + per-key-draw loop the block path must match.
+    /// Returns the kept batches, the key bits, the final clock, the
+    /// crossing batch's size and the RNG's next draw.
     fn scalar_reference(
         law: &GapLaw,
         q: f64,
         horizon: f64,
         key_draws: usize,
         seed: u64,
-    ) -> (Vec<(f64, u64)>, Vec<u64>, f64, u64) {
+    ) -> (Vec<(f64, u64)>, Vec<u64>, f64, u64, u64) {
         let mut s = BatchArrivals::new(law.clone(), q).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut batches = Vec::new();
         let mut key_bits = Vec::new();
-        loop {
+        let crossing = loop {
             let (t, b) = s.next_batch_with(&mut rng);
             if t >= horizon {
-                break;
+                break b;
             }
             batches.push((t, b));
             for _ in 0..b * key_draws as u64 {
                 key_bits.push(rng.next_u64());
             }
-        }
+        };
         let next = rng.next_u64();
-        (batches, key_bits, s.clock(), next)
+        (batches, key_bits, s.clock(), crossing, next)
     }
 
     #[test]
@@ -400,56 +419,84 @@ mod tests {
         ];
         let horizon = 0.02;
         for law in &laws {
+            // Crossing batches larger than one key, so the crossing-size
+            // check can tell the crossing batch from its neighbours.
+            let mut wide_crossings = 0;
             for &(q, key_draws) in &[(0.1, 2usize), (0.0, 1usize), (0.45, 1usize)] {
-                let (want_batches, want_bits, want_clock, want_next) =
-                    scalar_reference(law, q, horizon, key_draws, 99);
-                for min_keys in [1usize, 37, 256, 1024] {
-                    let mut s = BatchArrivals::new(law.clone(), q).unwrap();
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-                    let mut scratch = ArrivalScratch::new();
-                    let mut batches = Vec::new();
-                    let mut key_bits = Vec::new();
-                    loop {
-                        let crossed = s.fill_block_speculative(
-                            &mut rng,
-                            horizon,
-                            min_keys,
-                            key_draws,
-                            &mut scratch,
-                            |b, rng| {
-                                for _ in 0..b * key_draws as u64 {
-                                    key_bits.push(rng.next_u64());
-                                }
-                            },
-                        );
-                        batches.extend(
-                            scratch
-                                .times()
-                                .iter()
-                                .copied()
-                                .zip(scratch.sizes().iter().copied()),
-                        );
-                        if crossed {
-                            // Trim the speculative tail of the key draws.
-                            let kept: usize = batches.iter().map(|&(_, b)| b as usize).sum();
-                            key_bits.truncate(kept * key_draws);
-                            break;
+                for seed in 99..107 {
+                    let (want_batches, want_bits, want_clock, want_crossing, want_next) =
+                        scalar_reference(law, q, horizon, key_draws, seed);
+                    wide_crossings += usize::from(want_crossing > 1);
+                    for min_keys in [1usize, 37, 256, 1024] {
+                        let mut s = BatchArrivals::new(law.clone(), q).unwrap();
+                        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                        let mut scratch = ArrivalScratch::new();
+                        let mut batches = Vec::new();
+                        let mut key_bits = Vec::new();
+                        loop {
+                            let crossed = s.fill_block_speculative(
+                                &mut rng,
+                                horizon,
+                                min_keys,
+                                key_draws,
+                                &mut scratch,
+                                |b, rng| {
+                                    for _ in 0..b * key_draws as u64 {
+                                        key_bits.push(rng.next_u64());
+                                    }
+                                },
+                            );
+                            batches.extend(
+                                scratch
+                                    .times()
+                                    .iter()
+                                    .copied()
+                                    .zip(scratch.sizes().iter().copied()),
+                            );
+                            if crossed {
+                                assert_eq!(
+                                    scratch.crossing_size(),
+                                    Some(want_crossing),
+                                    "seed={seed} min_keys={min_keys}: crossing batch"
+                                );
+                                // Trim the speculative tail of the key draws.
+                                let kept: usize = batches.iter().map(|&(_, b)| b as usize).sum();
+                                key_bits.truncate(kept * key_draws);
+                                break;
+                            }
+                            assert_eq!(
+                                scratch.crossing_size(),
+                                None,
+                                "seed={seed} min_keys={min_keys}"
+                            );
                         }
+                        assert_eq!(
+                            batches.len(),
+                            want_batches.len(),
+                            "seed={seed} min_keys={min_keys}"
+                        );
+                        for (a, w) in batches.iter().zip(&want_batches) {
+                            assert_eq!(
+                                a.0.to_bits(),
+                                w.0.to_bits(),
+                                "seed={seed} min_keys={min_keys}"
+                            );
+                            assert_eq!(a.1, w.1, "seed={seed} min_keys={min_keys}");
+                        }
+                        assert_eq!(key_bits, want_bits, "seed={seed} min_keys={min_keys}");
+                        assert_eq!(
+                            s.clock().to_bits(),
+                            want_clock.to_bits(),
+                            "seed={seed} min_keys={min_keys}"
+                        );
+                        assert_eq!(rng.next_u64(), want_next, "seed={seed} min_keys={min_keys}");
                     }
-                    assert_eq!(batches.len(), want_batches.len(), "min_keys={min_keys}");
-                    for (a, w) in batches.iter().zip(&want_batches) {
-                        assert_eq!(a.0.to_bits(), w.0.to_bits(), "min_keys={min_keys}");
-                        assert_eq!(a.1, w.1, "min_keys={min_keys}");
-                    }
-                    assert_eq!(key_bits, want_bits, "min_keys={min_keys}");
-                    assert_eq!(
-                        s.clock().to_bits(),
-                        want_clock.to_bits(),
-                        "min_keys={min_keys}"
-                    );
-                    assert_eq!(rng.next_u64(), want_next, "min_keys={min_keys}");
                 }
             }
+            assert!(
+                wide_crossings > 0,
+                "{law:?}: every crossing batch had one key"
+            );
         }
     }
 }

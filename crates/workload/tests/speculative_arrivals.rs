@@ -14,6 +14,9 @@
 //! 3. **RNG-position equivalence** — after the horizon crossing the RNG
 //!    sits exactly where the scalar loop would leave it, so everything
 //!    downstream of arrival generation is unperturbed.
+//!
+//! Every run also reports the batch that crossed the horizon
+//! ([`ArrivalScratch::crossing_size`]), which must be the scalar loop's.
 
 use memlat_dist::{
     Deterministic, Exponential, Gamma, GapLaw, GeneralizedPareto, Hyperexponential, Uniform,
@@ -38,32 +41,29 @@ fn law(rate: f64, q: f64, xi: f64, kind: u8) -> GapLaw {
     }
 }
 
+/// What one run to the horizon leaves behind: the kept `(time, size)`
+/// batches, the banked key bits, the final clock, the size of the batch
+/// that crossed the horizon, and the RNG's next draw.
+type Run = (Vec<(f64, u64)>, Vec<u64>, f64, u64, u64);
+
 /// The scalar reference: `next_batch_with` until the horizon, with
-/// `key_draws` raw u64s banked per key in stream order. Returns the kept
-/// `(time, size)` batches, the banked key bits, the final clock, and the
-/// RNG's next draw.
-fn scalar_reference(
-    law: &GapLaw,
-    q: f64,
-    horizon: f64,
-    key_draws: usize,
-    seed: u64,
-) -> (Vec<(f64, u64)>, Vec<u64>, f64, u64) {
+/// `key_draws` raw u64s banked per key in stream order.
+fn scalar_reference(law: &GapLaw, q: f64, horizon: f64, key_draws: usize, seed: u64) -> Run {
     let mut s = BatchArrivals::new(law.clone(), q).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut batches = Vec::new();
     let mut key_bits = Vec::new();
-    loop {
+    let crossing = loop {
         let (t, b) = s.next_batch_with(&mut rng);
         if t >= horizon {
-            break;
+            break b;
         }
         batches.push((t, b));
         for _ in 0..b as usize * key_draws {
             key_bits.push(rng.next_u64());
         }
-    }
-    (batches, key_bits, s.clock(), rng.next_u64())
+    };
+    (batches, key_bits, s.clock(), crossing, rng.next_u64())
 }
 
 /// Drives the speculative pipeline to exhaustion at one block size.
@@ -74,13 +74,13 @@ fn speculative_run(
     min_keys: usize,
     key_draws: usize,
     seed: u64,
-) -> (Vec<(f64, u64)>, Vec<u64>, f64, u64) {
+) -> Run {
     let mut s = BatchArrivals::new(law.clone(), q).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut scratch = ArrivalScratch::new();
     let mut batches = Vec::new();
     let mut key_bits = Vec::new();
-    loop {
+    let crossing = loop {
         let done = s.fill_block_speculative(
             &mut rng,
             horizon,
@@ -101,22 +101,21 @@ fn speculative_run(
                 .zip(scratch.sizes().iter().copied()),
         );
         if done {
-            break;
+            break scratch
+                .crossing_size()
+                .expect("a crossing fill reports its batch");
         }
-    }
+        assert_eq!(scratch.crossing_size(), None, "no crossing, no batch");
+    };
     // Key bits banked for the speculated-past-horizon batches are junk by
     // construction — the caller truncates to the kept keys, exactly as
     // the cluster simulator's block loop does.
     let kept: usize = batches.iter().map(|&(_, b)| b as usize).sum();
     key_bits.truncate(kept * key_draws);
-    (batches, key_bits, s.clock(), rng.next_u64())
+    (batches, key_bits, s.clock(), crossing, rng.next_u64())
 }
 
-fn assert_runs_match(
-    a: &(Vec<(f64, u64)>, Vec<u64>, f64, u64),
-    b: &(Vec<(f64, u64)>, Vec<u64>, f64, u64),
-    label: &str,
-) -> Result<(), TestCaseError> {
+fn assert_runs_match(a: &Run, b: &Run, label: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.0.len(), b.0.len(), "{}: batch count", label);
     for (i, ((ta, ba), (tb, bb))) in a.0.iter().zip(&b.0).enumerate() {
         prop_assert_eq!(ta.to_bits(), tb.to_bits(), "{}: batch {} time", label, i);
@@ -124,7 +123,8 @@ fn assert_runs_match(
     }
     prop_assert_eq!(&a.1, &b.1, "{}: key bits", label);
     prop_assert_eq!(a.2.to_bits(), b.2.to_bits(), "{}: final clock", label);
-    prop_assert_eq!(a.3, b.3, "{}: RNG position", label);
+    prop_assert_eq!(a.3, b.3, "{}: crossing batch size", label);
+    prop_assert_eq!(a.4, b.4, "{}: RNG position", label);
     Ok(())
 }
 
@@ -171,6 +171,30 @@ proptest! {
         for min_keys in [37usize, 256, 1024] {
             let run = speculative_run(&law, q, horizon, min_keys, key_draws, seed);
             assert_runs_match(&reference, &run, &format!("block {min_keys}"))?;
+        }
+    }
+
+    /// The crossing batch a fill reports is the scalar loop's: the size
+    /// of the batch whose time first reaches the horizon, for every gap
+    /// law, at q = 0 (a batch size draws nothing), 0.1 and 0.45. A
+    /// horizon of a few gaps puts the crossing in the first fill at the
+    /// larger block sizes and after several fills at the smaller ones.
+    #[test]
+    fn crossing_batch_matches_scalar(
+        rate in 2_000.0f64..30_000.0,
+        q in prop_oneof![Just(0.0f64), Just(0.1), Just(0.45)],
+        xi in 0.0f64..0.7,
+        kind in 0u8..6,
+        key_draws in 0usize..3,
+        horizon_gaps in 0.0f64..64.0,
+        seed in 0u64..10_000,
+    ) {
+        let law = law(rate, q, xi, kind);
+        let horizon = horizon_gaps / ((1.0 - q) * rate);
+        let scalar = scalar_reference(&law, q, horizon, key_draws, seed);
+        for min_keys in [1usize, 7, 1024] {
+            let run = speculative_run(&law, q, horizon, min_keys, key_draws, seed);
+            assert_runs_match(&scalar, &run, &format!("block {min_keys}"))?;
         }
     }
 }
