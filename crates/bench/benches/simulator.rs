@@ -6,12 +6,23 @@ use memlat_cluster::{
     assembly::assemble_requests,
     config::MissMode,
     fault::{ClientPolicy, ServerFaults},
-    server::{simulate_server_streaming, ServerSimParams},
+    server::{
+        simulate_server_streaming_with, BlockScratch, KeyRecord, RecordSink, ServerSimParams,
+    },
     ClusterSim, Retention, SimConfig, SimScratch,
 };
 use memlat_dist::GapLaw;
 use memlat_workload::facebook;
 use rand::SeedableRng;
+
+/// Counts the records it is handed.
+struct CountingSink(u64);
+
+impl RecordSink for CountingSink {
+    fn record(&mut self, _: &KeyRecord) {
+        self.0 += 1;
+    }
+}
 
 /// The single-server DES hot loop in isolation: batch draws → FCFS
 /// Lindley recursion → miss decision, streamed into a counting sink.
@@ -25,8 +36,8 @@ fn bench_single_server(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut keys = 0u64;
-            let stats = simulate_server_streaming(
+            let mut keys = CountingSink(0);
+            let stats = simulate_server_streaming_with(
                 ServerSimParams {
                     interarrival: GapLaw::from(facebook::interarrival().unwrap()),
                     concurrency: facebook::CONCURRENCY_Q,
@@ -42,10 +53,11 @@ fn bench_single_server(c: &mut Criterion) {
                     block: 1,
                 },
                 &mut rng,
-                |_| keys += 1,
+                &mut BlockScratch::new(),
+                &mut keys,
             )
             .unwrap();
-            std::hint::black_box((keys, stats.utilization));
+            std::hint::black_box((keys.0, stats.utilization));
         })
     });
     g.finish();

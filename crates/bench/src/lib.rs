@@ -9,7 +9,8 @@
 //! * `simulator` — keys/second through the per-server queue and the full
 //!   cluster, plus request assembly.
 //! * `cache` — slab/LRU store get/set throughput and eviction pressure.
-//! * `stats` — ECDF construction, P² updates, histogram recording.
+//! * `stats` — ECDF construction, Welford updates, quantile-sketch pushes
+//!   (per key and per slice).
 //! * `experiments` — scaled-down regenerations of representative paper
 //!   artifacts (Table 3, Fig. 7 point, Table 4 row), the ablation of
 //!   product-form vs closed-form estimators, and eq. 23 vs the exact

@@ -3,9 +3,10 @@
 //! The per-key hot path is fully streaming: batches are drawn lazily
 //! from the seed-derived RNG stream (no ahead-of-time trace
 //! materialization), each resolved key is handed to a caller-supplied
-//! sink ([`simulate_server_streaming`]), and the whole pipeline — gap
-//! law, batch size, service draw, miss decision — is monomorphized over
-//! the RNG type so nothing in the loop goes through a vtable.
+//! [`RecordSink`] ([`simulate_server_streaming_with`]), and the whole
+//! pipeline — gap law, batch size, service draw, miss decision — is
+//! monomorphized over the RNG type so nothing in the loop goes through
+//! a vtable.
 //!
 //! On healthy runs (no faults, no client timeout) the loop is
 //! additionally **block-batched**: keys are staged in structure-of-arrays
@@ -225,13 +226,11 @@ impl<T: RecordSink + ?Sized> RecordSink for &mut T {
     }
 }
 
-/// Adapts a per-record closure into a [`RecordSink`] (blocks replay
-/// through the closure via the default [`RecordSink::record_block`]).
-pub struct FnSink<F>(pub F);
-
-impl<F: FnMut(&KeyRecord)> RecordSink for FnSink<F> {
+/// Collects every record (blocks replay through
+/// [`RecordSink::record`] via the default [`RecordSink::record_block`]).
+impl RecordSink for Vec<KeyRecord> {
     fn record(&mut self, rec: &KeyRecord) {
-        (self.0)(rec);
+        self.push(*rec);
     }
 }
 
@@ -446,31 +445,13 @@ fn process_attempt<S: RecordSink, R: RngCore>(
 /// Simulates one memcached server, streaming each resolved key into
 /// `sink`: batch arrivals → FCFS exp(μ_S) service → miss decision per
 /// key, with scheduled faults and client retries merged into the
-/// arrival stream in global time order.
+/// arrival stream in global time order. Eligible runs stage blocks in
+/// the caller's reusable [`BlockScratch`].
 ///
 /// Records reach the sink in resolution-processing order — exactly the
 /// order [`simulate_server`] stores them — and the RNG draw sequence is
 /// identical, so the two entry points are bit-for-bit interchangeable.
 /// The sink variant allocates no per-key memory.
-///
-/// # Errors
-///
-/// Returns [`ParamError`] when the miss mode's parameters are invalid.
-pub fn simulate_server_streaming<S, R>(
-    p: ServerSimParams<'_>,
-    rng: &mut R,
-    sink: S,
-) -> Result<ServerRunStats, ParamError>
-where
-    S: FnMut(&KeyRecord),
-    R: RngCore + Clone,
-{
-    simulate_server_streaming_with(p, rng, &mut BlockScratch::new(), FnSink(sink))
-}
-
-/// [`simulate_server_streaming`] generalized over the sink and staging
-/// buffers: any [`RecordSink`] receives the resolved keys, and eligible
-/// runs stage blocks in the caller's reusable [`BlockScratch`].
 ///
 /// # Errors
 ///
@@ -865,7 +846,7 @@ impl<R: RngCore + ?Sized> RngCore for CountingRng<'_, R> {
 }
 
 /// Simulates one memcached server and collects every per-key record —
-/// the buffering wrapper around [`simulate_server_streaming`].
+/// the buffering wrapper around [`simulate_server_streaming_with`].
 ///
 /// # Errors
 ///
@@ -875,7 +856,7 @@ pub fn simulate_server<R: RngCore + Clone>(
     rng: &mut R,
 ) -> Result<ServerRun, ParamError> {
     let mut records = Vec::new();
-    let stats = simulate_server_streaming(p, rng, |r: &KeyRecord| records.push(*r))?;
+    let stats = simulate_server_streaming_with(p, rng, &mut BlockScratch::new(), &mut records)?;
     Ok(ServerRun {
         records,
         utilization: stats.utilization,
@@ -951,9 +932,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let collected = facebook_run(0.5, 12);
         let mut streamed: Vec<KeyRecord> = Vec::new();
-        let stats = simulate_server_streaming(healthy_params(0.5), &mut rng, |r: &KeyRecord| {
-            streamed.push(*r)
-        })
+        let stats = simulate_server_streaming_with(
+            healthy_params(0.5),
+            &mut rng,
+            &mut BlockScratch::new(),
+            &mut streamed,
+        )
         .unwrap();
         assert_eq!(streamed, collected.records);
         assert_eq!(stats.counters, collected.counters);
@@ -1035,13 +1019,7 @@ mod tests {
                     assert_eq!(lat.to_bits(), block.latency[i].to_bits());
                 }
                 // Replay through the default path to keep `records`.
-                struct Push<'a>(&'a mut Vec<KeyRecord>);
-                impl RecordSink for Push<'_> {
-                    fn record(&mut self, rec: &KeyRecord) {
-                        self.0.push(*rec);
-                    }
-                }
-                Push(&mut self.records).record_block(block);
+                self.records.record_block(block);
             }
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(79);

@@ -9,26 +9,11 @@
 //! order. Fingerprints are FNV-1a over raw f32 bit patterns, so any
 //! drift in draw order, rounding, or record order fails the test.
 
-use memlat_cluster::{ClusterSim, Retention, SimConfig, SimOutput};
-use memlat_model::ModelParams;
+mod common;
 
-/// FNV-1a over the f32 bit patterns of `(s, d)` pairs, server-major.
-fn fnv1a_records(out: &SimOutput) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut push = |bits: u32| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
-    for j in 0..out.shares().len() {
-        for (s, d) in out.records(j) {
-            push(s.to_bits());
-            push(d.to_bits());
-        }
-    }
-    h
-}
+use common::fnv1a_records;
+use memlat_cluster::{ClusterSim, Retention, SimConfig};
+use memlat_model::ModelParams;
 
 fn assert_block_invariant(params: ModelParams, seed: u64) {
     let base = SimConfig::new(params).duration(0.4).warmup(0.1).seed(seed);

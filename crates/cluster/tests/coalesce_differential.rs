@@ -12,35 +12,14 @@
 //! *do* overlap, the coalesced relay must actually diverge and report
 //! delayed hits — proving the switch is live, not vacuously equal.
 
+mod common;
+
+use common::fnv1a_records;
 use memlat_cluster::{
     CacheBackedConfig, CacheRouting, ClientPolicy, ClusterSim, FaultPlan, MissMode, MissRelay,
-    RetryPolicy, SimConfig, SimOutput,
+    RetryPolicy, SimConfig,
 };
 use memlat_model::ModelParams;
-
-/// FNV-1a over the f32 bit patterns of `(s, d)` pairs, server-major.
-fn fnv1a_records(records: &[Vec<(f32, f32)>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut push = |bits: u32| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
-    for server in records {
-        for &(s, d) in server {
-            push(s.to_bits());
-            push(d.to_bits());
-        }
-    }
-    h
-}
-
-fn records_of(out: &SimOutput) -> Vec<Vec<(f32, f32)>> {
-    (0..out.shares().len())
-        .map(|j| out.records(j).iter().collect())
-        .collect()
-}
 
 /// Runs `base` under both relays at 1 and 4 threads and asserts every
 /// record fingerprint and every summary is identical; the coalesced runs
@@ -52,13 +31,13 @@ fn assert_relay_invisible(base: &SimConfig) {
         independent.total_keys() > 1_000,
         "run produced too few keys to be meaningful"
     );
-    let reference = fnv1a_records(&records_of(&independent));
+    let reference = fnv1a_records(&independent);
     assert!(!independent.coalesce().any(), "independent relay counted");
     for threads in [1usize, 4] {
         for relay in [MissRelay::Independent, MissRelay::Coalesced] {
             let out = ClusterSim::run(&base.clone().threads(threads).miss_relay(relay)).unwrap();
             assert_eq!(
-                fnv1a_records(&records_of(&out)),
+                fnv1a_records(&out),
                 reference,
                 "records diverged at threads={threads} relay={relay:?}"
             );
@@ -189,15 +168,15 @@ fn coalescing_diverges_when_fetches_overlap() {
         "coalescing must shed dispatches"
     );
     assert_ne!(
-        fnv1a_records(&records_of(&independent)),
-        fnv1a_records(&records_of(&coalesced)),
+        fnv1a_records(&independent),
+        fnv1a_records(&coalesced),
         "db latencies must actually differ"
     );
     // And the coalesced run itself stays thread-count invariant.
     let par = ClusterSim::run(&base.threads(4).miss_relay(MissRelay::Coalesced)).unwrap();
     assert_eq!(
-        fnv1a_records(&records_of(&coalesced)),
-        fnv1a_records(&records_of(&par)),
+        fnv1a_records(&coalesced),
+        fnv1a_records(&par),
         "coalesced run diverged across thread counts"
     );
     assert_eq!(par.coalesce(), c);

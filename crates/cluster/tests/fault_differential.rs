@@ -12,6 +12,9 @@
 //! exact configuration. If this test fails, the healthy path changed —
 //! that is a regression, not a tolerance issue.
 
+mod common;
+
+use common::fnv1a_records;
 use memlat_cluster::{ClientPolicy, ClusterSim, FaultPlan, SimConfig, SimOutput};
 use memlat_model::ModelParams;
 
@@ -42,31 +45,10 @@ fn golden_config() -> SimConfig {
         .threads(1)
 }
 
-/// FNV-1a over the bit patterns of every `(s, d)` record, servers in
-/// order — any single-bit difference in any per-key latency flips it.
-fn records_fingerprint(out: &SimOutput) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for j in 0..out.shares().len() {
-        for (s, d) in out.records(j) {
-            eat(u64::from(s.to_bits()));
-            eat(u64::from(d.to_bits()));
-        }
-    }
-    h
-}
-
 fn assert_matches_golden(out: &SimOutput, label: &str) {
     assert_eq!(out.total_keys(), GOLDEN_TOTAL_KEYS, "{label}: total keys");
     assert_eq!(
-        records_fingerprint(out),
+        fnv1a_records(out),
         GOLDEN_RECORDS_FNV,
         "{label}: per-key record bits"
     );

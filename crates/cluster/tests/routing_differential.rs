@@ -11,6 +11,9 @@
 //! path changed — a regression, not a tolerance issue. The second pins
 //! a routed, coalesced, LRU-backed run the same way.
 
+mod common;
+
+use common::{fnv1a_records, fnv1a_u64};
 use memlat_cluster::{
     CacheBackedConfig, CacheRouting, ClusterSim, MissMode, MissRelay, Retention, SimConfig,
     SimOutput,
@@ -55,40 +58,13 @@ fn routed_cache() -> CacheBackedConfig {
     }
 }
 
-/// FNV-1a over the f32 bit patterns of every `(s, d)` record, servers
-/// in order — any single-bit difference in any per-key latency flips it.
-fn fnv1a_records(out: &SimOutput) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for j in 0..out.shares().len() {
-        for (s, d) in out.records(j) {
-            eat(u64::from(s.to_bits()));
-            eat(u64::from(d.to_bits()));
-        }
-    }
-    h
-}
-
 /// FNV-1a over everything a cache-backed run reports per server: the
 /// `(s, d)` record bits of [`fnv1a_records`], then per server the
 /// utilization bits, jobs, misses, resident items and coalescing
 /// counters, then the cluster's emergent miss ratio bits.
 fn fnv1a_lru(out: &SimOutput) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h = fnv1a_records(out);
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut eat = |v: u64| h = fnv1a_u64(h, v);
     for s in out.summaries() {
         eat(s.utilization.to_bits());
         eat(s.counters.jobs);

@@ -10,6 +10,9 @@
 //! Fingerprints are FNV-1a over the raw f32 bit patterns, so any
 //! reordering, rounding, or RNG drift fails the test.
 
+mod common;
+
+use common::fnv1a_columns;
 use memlat_cluster::{
     config::MissMode,
     database::{run_db_stage_with, MissArrival},
@@ -21,23 +24,9 @@ use memlat_des::stream_rng;
 use memlat_dist::GapLaw;
 use memlat_model::ModelParams;
 
-/// FNV-1a over the f32 bit patterns of `(s, d)` pairs, server-major —
-/// the same fingerprint the fault differential suite pins goldens with.
+/// [`fnv1a_columns`] over materialized per-server records.
 fn fnv1a_records(records: &[Vec<(f32, f32)>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut push = |bits: u32| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
-    for server in records {
-        for &(s, d) in server {
-            push(s.to_bits());
-            push(d.to_bits());
-        }
-    }
-    h
+    fnv1a_columns(records.iter().map(|server| server.iter().copied()))
 }
 
 /// The pre-streaming reference: materialize every server's records,

@@ -28,8 +28,8 @@ impl Completion {
 /// A single-server FCFS queue simulated by the Lindley recursion.
 ///
 /// Jobs must be submitted in non-decreasing arrival order (each stream
-/// the memlat simulator produces is time-ordered; merging unordered
-/// streams is the event queue's job). For a work-conserving FCFS server
+/// the memlat simulator produces is time-ordered; a caller merging
+/// several streams sorts them first). For a work-conserving FCFS server
 /// the departure of job `n` is
 ///
 /// ```text

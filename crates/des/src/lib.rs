@@ -1,17 +1,16 @@
 //! Discrete-event simulation kernel for the memlat cluster simulator.
 //!
 //! A deliberately small kernel: the memcached system model is
-//! feed-forward (clients → servers → database), so most stages can be
-//! simulated in virtual time with a measured FCFS station; the event
-//! queue is what merges streams whose order is only known globally
-//! (e.g. cache misses arriving at the database from many servers).
+//! feed-forward (clients → servers → database), so every stage is
+//! simulated in virtual time with a measured FCFS station evaluated by
+//! the Lindley recursion; streams whose order is only known globally
+//! (cache misses reaching the database from many servers) are merged by
+//! sorting, not through an event heap.
 //!
-//! * [`time`] — [`SimTime`]: a totally ordered, finite, non-negative
-//!   simulation timestamp.
-//! * [`queue`] — [`EventQueue`]: a stable (FIFO tie-breaking) time-ordered
-//!   event heap.
 //! * [`fcfs`] — [`FcfsStation`]: a single-server FCFS queue evaluated in
 //!   virtual time with built-in wait/sojourn/utilization measurement.
+//! * [`metrics`] — per-server activity, resilience and coalescing
+//!   counters that merge across shards and replications.
 //! * [`fault`] — [`fault::Window`] / [`fault::Timeline`]: scheduled
 //!   crash/degradation windows a station owner can query in virtual
 //!   time.
@@ -21,14 +20,13 @@
 //! # Examples
 //!
 //! ```
-//! use memlat_des::{EventQueue, SimTime};
+//! use memlat_des::FcfsStation;
 //!
-//! let mut q = EventQueue::new();
-//! q.schedule(SimTime::new(2.0), "b");
-//! q.schedule(SimTime::new(1.0), "a");
-//! q.schedule(SimTime::new(2.0), "c"); // same time: FIFO order
-//! let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-//! assert_eq!(order, ["a", "b", "c"]);
+//! let mut s = FcfsStation::new();
+//! assert_eq!(s.submit(0.0, 2.0).departure, 2.0);
+//! // Arrives while the first job is in service: waits 1 s.
+//! let c = s.submit(1.0, 1.0);
+//! assert_eq!((c.wait(), c.departure), (1.0, 3.0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,12 +35,8 @@
 pub mod fault;
 pub mod fcfs;
 pub mod metrics;
-pub mod queue;
 pub mod rng;
-pub mod time;
 
 pub use fcfs::{Completion, FcfsStation};
-pub use metrics::{ResilienceCounters, ServerCounters, TimeWeighted};
-pub use queue::EventQueue;
+pub use metrics::{ResilienceCounters, ServerCounters};
 pub use rng::stream_rng;
-pub use time::SimTime;

@@ -1,93 +1,4 @@
-//! Time-weighted measurement of piecewise-constant signals.
-
-/// Accumulates the time integral of a piecewise-constant signal — queue
-/// lengths, busy-server counts, in-flight request counts — so the
-/// simulator can report time averages like `E[N(t)]` and verify Little's
-/// law against the analytical model.
-///
-/// # Examples
-///
-/// ```
-/// use memlat_des::metrics::TimeWeighted;
-///
-/// let mut q = TimeWeighted::new(0.0);
-/// q.set(1.0, 2.0); // value 2 from t=1
-/// q.set(3.0, 0.0); // back to 0 at t=3
-/// assert_eq!(q.time_average(4.0), 1.0); // (0·1 + 2·2 + 0·1)/4
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: f64,
-    integral: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Starts the signal at `initial` at time 0.
-    #[must_use]
-    pub fn new(initial: f64) -> Self {
-        Self {
-            value: initial,
-            last_change: 0.0,
-            integral: 0.0,
-            max: initial,
-        }
-    }
-
-    /// Sets the signal to `value` at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if time goes backwards.
-    pub fn set(&mut self, now: f64, value: f64) {
-        assert!(
-            now >= self.last_change,
-            "time went backwards: {now} < {}",
-            self.last_change
-        );
-        self.integral += self.value * (now - self.last_change);
-        self.last_change = now;
-        self.value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Adds `delta` to the signal at time `now` (e.g. +1 on arrival,
-    /// −1 on departure).
-    pub fn add(&mut self, now: f64, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Largest value observed.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time average over `[0, horizon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is before the last recorded change or not
-    /// positive.
-    #[must_use]
-    pub fn time_average(&self, horizon: f64) -> f64 {
-        assert!(horizon > 0.0, "horizon must be positive");
-        assert!(
-            horizon >= self.last_change,
-            "horizon {horizon} before last change {}",
-            self.last_change
-        );
-        (self.integral + self.value * (horizon - self.last_change)) / horizon
-    }
-}
+//! Per-server activity, resilience and coalescing counters.
 
 /// Per-server activity counters surfaced by the cluster simulation.
 ///
@@ -304,78 +215,5 @@ mod tests {
         );
         assert!((a.miss_ratio() - 0.1).abs() < 1e-12);
         assert_eq!(ServerCounters::default().miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn square_wave_average() {
-        let mut s = TimeWeighted::new(0.0);
-        for i in 0..10 {
-            s.set(i as f64, (i % 2) as f64);
-        }
-        // Signal is 0 on even seconds, 1 on odd seconds: average 0.5.
-        assert!((s.time_average(10.0) - 0.5).abs() < 1e-12);
-        assert_eq!(s.max(), 1.0);
-    }
-
-    #[test]
-    fn add_tracks_counts() {
-        let mut q = TimeWeighted::new(0.0);
-        q.add(1.0, 1.0); // arrival
-        q.add(2.0, 1.0); // arrival
-        assert_eq!(q.value(), 2.0);
-        q.add(4.0, -1.0); // departure
-        q.add(5.0, -1.0);
-        assert_eq!(q.value(), 0.0);
-        // Integral: 0·1 + 1·1 + 2·2 + 1·1 = 6 over 5 s.
-        assert!((q.time_average(5.0) - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "time went backwards")]
-    fn rejects_time_travel() {
-        let mut s = TimeWeighted::new(0.0);
-        s.set(2.0, 1.0);
-        s.set(1.0, 0.0);
-    }
-
-    #[test]
-    fn littles_law_on_mm1() {
-        // Drive a simulated M/M/1 and verify L = λW between the
-        // time-weighted count and the per-job sojourns.
-        use crate::fcfs::FcfsStation;
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let mut station = FcfsStation::new();
-        let mut in_system = TimeWeighted::new(0.0);
-        let lam = 0.7;
-        let mut t = 0.0;
-        let mut events: Vec<(f64, f64)> = Vec::new(); // (arrival, departure)
-        for _ in 0..200_000 {
-            t += -(1.0 - rng.gen::<f64>()).max(1e-15).ln() / lam;
-            let svc = -(1.0 - rng.gen::<f64>()).max(1e-15).ln();
-            let done = station.submit(t, svc);
-            events.push((t, done.departure));
-        }
-        // Replay arrivals/departures in time order.
-        let mut edges: Vec<(f64, f64)> = Vec::with_capacity(events.len() * 2);
-        for &(a, d) in &events {
-            edges.push((a, 1.0));
-            edges.push((d, -1.0));
-        }
-        edges.sort_by(|x, y| x.0.total_cmp(&y.0));
-        for (when, delta) in edges {
-            in_system.add(when, delta);
-        }
-        let horizon = events.iter().map(|e| e.1).fold(0.0, f64::max);
-        let l = in_system.time_average(horizon);
-        let w = station.mean_sojourn();
-        let lam_hat = events.len() as f64 / horizon;
-        assert!(
-            (l - lam_hat * w).abs() / l < 0.01,
-            "L={l} λW={}",
-            lam_hat * w
-        );
-        // And both match the M/M/1 closed form ρ/(1−ρ) ≈ 2.333.
-        assert!((l - 0.7 / 0.3).abs() < 0.15, "L={l}");
     }
 }

@@ -54,7 +54,6 @@ pub mod multinomial;
 pub mod preset;
 pub mod simd;
 pub mod uniform;
-pub mod weibull;
 pub mod zipf;
 
 pub use binomial::Binomial;
@@ -68,7 +67,6 @@ pub use lognormal::LogNormal;
 pub use multinomial::{multinomial_counts, Multinomial};
 pub use preset::GapLaw;
 pub use uniform::Uniform;
-pub use weibull::Weibull;
 pub use zipf::Zipf;
 
 /// Error returned when a distribution is constructed with invalid

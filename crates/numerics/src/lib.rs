@@ -11,7 +11,6 @@
 //! * [`special`] — `ln Γ`, regularized incomplete gamma (Erlang/gamma CDFs)
 //!   and related special functions.
 //! * [`kahan`] — compensated summation for long accumulation loops.
-//! * [`float`] — approximate-comparison helpers shared by tests.
 //!
 //! Everything here is dependency-free, deterministic and `f64`-based.
 //!
@@ -28,13 +27,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod float;
 pub mod integrate;
 pub mod kahan;
 pub mod roots;
 pub mod special;
 
-pub use float::approx_eq;
 pub use integrate::adaptive_simpson;
 pub use kahan::KahanSum;
 pub use roots::{bisect, brent, RootError};

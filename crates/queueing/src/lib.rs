@@ -11,8 +11,8 @@
 //!   collapsing each geometric batch into one exponential "super-job" with
 //!   rate `(1−q)μ_S` (§3 of the paper); per-key latency bounds of eq. (9).
 //! * [`mm1`] — closed-form M/M/1 (the database stage).
-//! * [`mg1`] — M/G/1 mean-value analysis (Pollaczek–Khinchine), used as an
-//!   ablation baseline.
+//! * [`exact_key`] — the exact per-key latency law, against which the
+//!   eq. (9) bounds are checked.
 //! * [`delta`] — the `δ`-root solver shared by all of the above.
 //!
 //! # Examples
@@ -44,14 +44,12 @@ pub mod delta;
 pub mod exact_key;
 pub mod gim1;
 pub mod gixm1;
-pub mod mg1;
 pub mod mm1;
 
 pub use delta::solve_delta;
 pub use exact_key::ExactKeyLatency;
 pub use gim1::GiM1;
 pub use gixm1::GixM1;
-pub use mg1::MG1;
 pub use mm1::MM1;
 
 /// Error produced by the queueing solvers.

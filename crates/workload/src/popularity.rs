@@ -185,8 +185,8 @@ impl WeightedAlias {
 /// The paper's §2.1 observation — "a small percentage of values are
 /// accessed quite frequently, while the rest numerous ones are accessed
 /// only a handful of times" — is what this type generates. Feeding it
-/// through a [`crate::Placement`] yields an emergent unbalanced `{p_j}`,
-/// the simulator's alternative to imposing shares directly.
+/// through a [`crate::ConsistentHashRing`] yields an emergent unbalanced
+/// `{p_j}`, the simulator's alternative to imposing shares directly.
 ///
 /// Key spaces up to 2²⁰ keys sample through a precomputed Walker alias
 /// table — one uniform and two array reads per draw; larger spaces

@@ -3,8 +3,7 @@
 use memlat_dist::{Exponential, GeneralizedPareto};
 use memlat_workload::{
     arrival::{for_each_batch_until, BatchArrivals},
-    placement::{induced_shares, ConsistentHashRing, HashMod, Placement, StaticProbability},
-    trace::{record, EmpiricalGaps, TraceReplay},
+    placement::{induced_shares, ConsistentHashRing},
     ZipfPopularity,
 };
 use proptest::prelude::*;
@@ -30,20 +29,14 @@ proptest! {
         }
     }
 
-    /// Every placement maps every key to a valid server, and mappings
-    /// are stable.
+    /// The ring maps every key to a valid server, and the mapping is
+    /// stable.
     #[test]
-    fn placements_are_total_and_stable(m in 1usize..32, key in 0u64..1_000_000) {
-        let placements: Vec<Box<dyn Placement>> = vec![
-            Box::new(HashMod::new(m)),
-            Box::new(ConsistentHashRing::new(m, 64)),
-            Box::new(StaticProbability::new(&vec![1.0 / m as f64; m]).unwrap()),
-        ];
-        for p in placements {
-            let s = p.server_of(key);
-            prop_assert!(s < p.servers());
-            prop_assert_eq!(s, p.server_of(key));
-        }
+    fn ring_is_total_and_stable(m in 1usize..32, key in 0u64..1_000_000) {
+        let ring = ConsistentHashRing::new(m, 64);
+        let s = ring.server_of(key);
+        prop_assert!(s < ring.servers());
+        prop_assert_eq!(s, ring.server_of(key));
     }
 
     /// Induced shares are a probability vector.
@@ -57,30 +50,6 @@ proptest! {
         }, 5_000);
         prop_assert_eq!(shares.len(), m);
         prop_assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    /// Trace record → replay preserves count, order and rate.
-    #[test]
-    fn trace_round_trip(rate in 1_000.0f64..50_000.0, seed in 0u64..200) {
-        let gaps = Exponential::new(rate).unwrap();
-        let mut s = BatchArrivals::new(gaps, 0.1).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let t = record(&mut s, 0, 0.2, &mut rng);
-        prop_assume!(t.len() >= 2);
-        let mut replay = TraceReplay::new(t.clone()).unwrap();
-        let mut n = 0;
-        let mut prev = 0.0;
-        while let Some(r) = replay.next_batch() {
-            prop_assert!(r.time >= prev);
-            prev = r.time;
-            n += 1;
-        }
-        prop_assert_eq!(n, t.len());
-        // Empirical gap distribution has the right mean (±20% for short
-        // traces).
-        let e = EmpiricalGaps::from_trace(&t).unwrap();
-        use memlat_dist::Continuous;
-        prop_assert!((e.mean() * rate - 1.0).abs() < 0.4, "mean {} rate {rate}", e.mean());
     }
 
     /// Zipf popularity: head mass is monotone in n and skew.

@@ -9,7 +9,7 @@
 //!
 //! * [`model`] — the paper's contribution: Theorem 1 latency estimation,
 //!   Proposition 1/2, cliff utilization, factor analysis.
-//! * [`queueing`] — GI/M/1, GI^X/M/1 (batch), M/M/1 and M/G/1 machinery.
+//! * [`queueing`] — GI/M/1, GI^X/M/1 (batch) and M/M/1 machinery.
 //! * [`dist`] — probability distributions with Laplace transforms.
 //! * [`cluster`] — the full-system discrete-event simulator.
 //! * [`workload`] — arrival processes, key popularity, placement,

@@ -24,8 +24,7 @@ fn facade_paths_compose() {
     let e = Ecdf::from_samples(&[1.0, 2.0, 3.0]);
     assert_eq!(e.quantile(0.5), 2.0);
 
-    // DES + workload + cache crates are reachable too.
-    let _ = memlat::des::EventQueue::<u32>::new();
+    // Workload, cache and numerics crates are reachable too.
     let _ = memlat::workload::facebook::KEY_RATE;
     let _ = memlat::cache::StoreConfig::default();
     let _ = memlat::numerics::KahanSum::new();
