@@ -2,11 +2,13 @@
 //!
 //! The per-server simulations are embarrassingly parallel *by
 //! construction*: server `j` draws every random number from its own
-//! seed-derived stream (`stream_rng(seed, 1000 + j)`), and the database
-//! stage consumes the merged miss stream in a fixed, execution-order
-//! independent order. [`ClusterSim::run`] therefore dispatches servers
-//! across [`SimConfig::threads`] worker threads and still produces
-//! **bit-identical** output to the sequential path for a fixed seed.
+//! seed-derived stream (`stream_rng(seed, 1000 + j)`) into its own
+//! server-indexed cell, and the database stage consumes one miss stream
+//! in `(time, server, push order)` order — one stable time sort over the
+//! shards concatenated in server order. [`ClusterSim::run`] therefore
+//! dispatches servers round-robin across [`SimConfig::threads`] worker
+//! threads and still produces **bit-identical** output to the
+//! sequential path for a fixed seed.
 //!
 //! The per-key hot path is **streaming and block-batched**: each
 //! server's resolved keys flow from [`simulate_server_streaming_with`]
@@ -111,8 +113,9 @@ struct ServerCell {
     /// Per-record forced/degraded flags, kept only when hedging needs to
     /// rebuild the summaries after the merge-step min pass.
     flags: Vec<u8>,
-    /// Missed keys: arrival time at the database + origin `(server, idx)`,
-    /// time-sorted by the worker before the merge step.
+    /// Missed keys in push order: arrival time at the database + origin
+    /// `(server, idx)`. The merge step time-sorts them (see
+    /// [`merge_misses`]).
     misses: Vec<MissArrival>,
 }
 
@@ -224,12 +227,11 @@ impl RecordSink for WorkerSink<'_> {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Per-server cells, stored lane-major for the thread dispatch (see
-    /// [`lane_pos`]).
+    /// Per-server cells, indexed by server.
     cells: Vec<ServerCell>,
     /// Staging lanes for the block-batched server hot path: one per
-    /// worker lane, not per server. A lane simulates its servers one at
-    /// a time, so sharing keeps the block scratch footprint
+    /// worker thread, not per server. A thread simulates its servers one
+    /// at a time, so sharing keeps the block scratch footprint
     /// `O(threads × block)` instead of `O(servers × block)` — at
     /// M = 10 000 servers the per-server layout dominated peak memory.
     blocks: Vec<BlockScratch>,
@@ -490,18 +492,11 @@ impl ClusterSim {
                 sketch,
                 degraded_latency,
                 mut healthy_latency,
-                misses,
                 ..
             } = sink;
             if plain_run {
                 healthy_latency = latency;
             }
-            // Time-sort this server's miss shard on the worker thread
-            // (stable, and already nearly sorted on healthy runs where
-            // FCFS departures are monotone). The merge step then only
-            // k-way merges M sorted streams instead of re-sorting the
-            // whole concatenated stream on the main thread.
-            misses.sort_by(|a, b| a.time.total_cmp(&b.time));
             Ok(ServerOutcome {
                 keys: stats.counters.jobs,
                 summary: ServerSummary {
@@ -533,16 +528,16 @@ impl ClusterSim {
                 if pristine.len() < m {
                     pristine.resize_with(m, Vec::new);
                 }
-                for (j, pop) in pristine.iter_mut().enumerate().take(m) {
+                for (pop, cell) in pristine.iter_mut().zip(cells.iter()).take(m) {
                     pop.clear();
-                    pop.extend_from_slice(cells[lane_pos(servers, threads, j)].cols.s());
+                    pop.extend_from_slice(cell.cols.s());
                 }
-                for (j, out) in outcomes.iter_mut().enumerate() {
+                for (j, (out, cell)) in outcomes.iter_mut().zip(cells.iter_mut()).enumerate() {
                     let replica = &pristine[(j + 1) % m];
                     if replica.is_empty() {
                         continue;
                     }
-                    let ServerCell { cols, flags, .. } = &mut cells[lane_pos(servers, threads, j)];
+                    let ServerCell { cols, flags, .. } = cell;
                     let mut rng = stream_rng(cfg.seed, 3_000_000 + j as u64);
                     let mut latency = StreamingStats::new();
                     let mut sketch = QuantileSketch::new();
@@ -591,8 +586,7 @@ impl ClusterSim {
         let mut utilization = Vec::with_capacity(outcomes.len());
         let mut total_keys = 0u64;
         let mut total_misses = 0u64;
-        for (j, out) in outcomes.into_iter().enumerate() {
-            let cell = &mut cells[lane_pos(servers, threads, j)];
+        for (out, cell) in outcomes.into_iter().zip(cells.iter_mut()) {
             total_keys += out.keys;
             // Regular cache misses only: forced misses are accounted
             // separately (they reach the database but are a fault
@@ -607,13 +601,7 @@ impl ClusterSim {
             }
         }
 
-        // K-way merge of the per-server time-sorted miss shards, keyed
-        // `(time, server)`: equal times resolve in server order, and a
-        // server's equal-time misses keep their push order (its shard was
-        // stable-sorted) — exactly the order the previous global stable
-        // sort over the concatenated stream produced, without an
-        // O(K log K) single-threaded pass over every miss.
-        merge_miss_shards(servers, threads, cells, all_misses);
+        merge_misses(&cells[..servers], all_misses);
         let shards = cfg.effective_db_shards();
         let mut db_rng = stream_rng(cfg.seed, 2_000_000);
         let mut db_latency = StreamingStats::new();
@@ -676,94 +664,27 @@ impl ClusterSim {
     }
 }
 
-/// Head of one server's miss shard in the k-way merge, ordered by
-/// `(time, server)` — see [`merge_miss_shards`].
-struct MergeHead {
-    time: f64,
-    server: u32,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for MergeHead {}
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.server.cmp(&other.server))
-    }
-}
-
-/// Merges the per-server time-sorted miss shards into `all_misses` in
-/// `(time, server, push order)` order via a binary heap over the M
-/// stream heads: `O(K log M)` with `K` total misses, versus
-/// `O(K log K)` for the old concatenate-and-sort.
-fn merge_miss_shards(
-    servers: usize,
-    threads: usize,
-    cells: &[ServerCell],
-    all_misses: &mut Vec<MissArrival>,
-) {
+/// Builds the database stage's one miss stream from the per-server
+/// shards in `(time, server, push order)` order: the shards are
+/// concatenated in server order and stable-sorted by time, so equal
+/// times keep concatenation order — server first, then push order. The
+/// database stage assigns misses to its shards round-robin in this
+/// order, so it is part of the output. Shards need not be sorted (a
+/// faulted run's retries resolve out of arrival order).
+fn merge_misses(cells: &[ServerCell], all_misses: &mut Vec<MissArrival>) {
     all_misses.clear();
-    let total: usize = (0..servers)
-        .map(|j| cells[lane_pos(servers, threads, j)].misses.len())
-        .sum();
-    all_misses.reserve(total);
-    let mut next = vec![0usize; servers];
-    let mut heap = std::collections::BinaryHeap::with_capacity(servers);
-    for j in 0..servers {
-        let shard = &cells[lane_pos(servers, threads, j)].misses;
-        if !shard.is_empty() {
-            heap.push(std::cmp::Reverse(MergeHead {
-                time: shard[0].time,
-                server: j as u32,
-            }));
-        }
+    all_misses.reserve(cells.iter().map(|c| c.misses.len()).sum());
+    for cell in cells {
+        all_misses.extend_from_slice(&cell.misses);
     }
-    while let Some(std::cmp::Reverse(MergeHead { server, .. })) = heap.pop() {
-        let j = server as usize;
-        let shard = &cells[lane_pos(servers, threads, j)].misses;
-        let pos = next[j];
-        all_misses.push(shard[pos]);
-        next[j] = pos + 1;
-        if pos + 1 < shard.len() {
-            heap.push(std::cmp::Reverse(MergeHead {
-                time: shard[pos + 1].time,
-                server,
-            }));
-        }
-    }
-}
-
-/// Number of servers thread `lane` handles: servers `j ≡ lane (mod
-/// threads)`.
-fn lane_len(servers: usize, threads: usize, lane: usize) -> usize {
-    (servers + threads - 1 - lane) / threads
-}
-
-/// Position of server `j`'s cell in the lane-major cell layout: lane
-/// `j % threads` occupies a contiguous block, inside which `j` sits at
-/// slot `j / threads`. Identity when `threads == 1`.
-fn lane_pos(servers: usize, threads: usize, j: usize) -> usize {
-    let lane = j % threads;
-    let offset: usize = (0..lane).map(|l| lane_len(servers, threads, l)).sum();
-    offset + j / threads
+    all_misses.sort_by(|a, b| a.time.total_cmp(&b.time));
 }
 
 /// Runs `worker(j, cell)` for every server on up to `threads` scoped
 /// threads, returning outcomes in server order. Servers are interleaved
 /// round-robin across threads so a hot server does not serialize a whole
-/// chunk; the lane-major cell layout makes each thread's cells one
-/// contiguous `split_at_mut` slice, so dispatch allocates nothing beyond
-/// the outcome slots.
+/// chunk: thread `t` gets server `j ≡ t (mod threads)`'s cell and
+/// outcome slot, both indexed by server.
 fn dispatch<F>(
     servers: usize,
     threads: usize,
@@ -782,34 +703,23 @@ where
             *slot = Some(worker(j, cell, block));
         }
     } else {
+        let mut lanes: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+        for (j, (slot, cell)) in slots.iter_mut().zip(cells.iter_mut()).enumerate() {
+            lanes[j % threads].push((j, slot, cell));
+        }
         std::thread::scope(|scope| {
-            let mut rest_cells = &mut cells[..servers];
-            let mut rest_slots = &mut slots[..];
-            let mut rest_blocks = &mut blocks[..threads];
-            for lane in 0..threads {
-                let n = lane_len(servers, threads, lane);
-                let (cell_lane, next_cells) = rest_cells.split_at_mut(n);
-                let (slot_lane, next_slots) = rest_slots.split_at_mut(n);
-                let (block_lane, next_blocks) = rest_blocks.split_at_mut(1);
-                rest_cells = next_cells;
-                rest_slots = next_slots;
-                rest_blocks = next_blocks;
+            for (lane, block) in lanes.into_iter().zip(blocks.iter_mut()) {
                 scope.spawn(move || {
-                    let block = &mut block_lane[0];
-                    for (i, (slot, cell)) in slot_lane.iter_mut().zip(cell_lane).enumerate() {
-                        *slot = Some(worker(lane + i * threads, cell, block));
+                    for (j, slot, cell) in lane {
+                        *slot = Some(worker(j, cell, block));
                     }
                 });
             }
         });
     }
-    // Un-permute from lane-major back to server order.
-    (0..servers)
-        .map(|j| {
-            slots[lane_pos(servers, threads, j)]
-                .take()
-                .expect("server worker slot unfilled")
-        })
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("server worker slot unfilled"))
         .collect()
 }
 
@@ -946,23 +856,6 @@ impl SimOutput {
             all.extend(recs.s().iter().map(|&s| f64::from(s)));
         }
         Ecdf::from_samples(&all)
-    }
-
-    /// ECDF of per-key server latency at one server.
-    ///
-    /// # Panics
-    ///
-    /// Panics when that server recorded no keys or under
-    /// [`Retention::Summary`].
-    #[must_use]
-    pub fn server_latency_ecdf_of(&self, server: usize) -> Ecdf {
-        let s: Vec<f64> = self
-            .records(server)
-            .s()
-            .iter()
-            .map(|&s| f64::from(s))
-            .collect();
-        Ecdf::from_samples(&s)
     }
 
     /// The `p`-th quantile of pooled per-key server latency: exact (ECDF
@@ -1328,19 +1221,58 @@ mod tests {
     }
 
     #[test]
-    fn lane_layout_covers_every_server_once() {
-        for servers in [1usize, 2, 3, 4, 7, 16] {
-            for threads in 1..=servers {
-                let total: usize = (0..threads).map(|l| lane_len(servers, threads, l)).sum();
-                assert_eq!(total, servers, "{servers} servers / {threads} threads");
-                let mut seen = vec![false; servers];
-                for j in 0..servers {
-                    let pos = lane_pos(servers, threads, j);
-                    assert!(!seen[pos], "position {pos} assigned twice");
-                    seen[pos] = true;
-                }
-                assert!(seen.iter().all(|&b| b));
-            }
-        }
+    fn miss_merge_orders_by_time_then_server_then_push_order() {
+        // Origins carry `(server, push position)`, so the merged order
+        // reads off directly. Server 0 pushes two misses at t = 2;
+        // server 1 ties both at t = 2; server 2 is unsorted, as a faulted
+        // run's retries leave it; server 3 is empty.
+        let shard = |server: u32, times: &[f64]| ServerCell {
+            misses: times
+                .iter()
+                .enumerate()
+                .map(|(i, &time)| MissArrival {
+                    time,
+                    origin: (server, i as u32),
+                    key: NO_KEY,
+                })
+                .collect(),
+            ..ServerCell::default()
+        };
+        let cells = [
+            shard(0, &[1.0, 2.0, 2.0, 4.0]),
+            shard(1, &[2.0, 3.0]),
+            shard(2, &[3.0, 0.5, 2.0, 1.0]),
+            shard(3, &[]),
+        ];
+        let mut merged = vec![MissArrival {
+            time: 9.0,
+            origin: (9, 9),
+            key: 9,
+        }];
+        merge_misses(&cells, &mut merged);
+        let order: Vec<(u32, u32)> = merged.iter().map(|m| m.origin).collect();
+        assert_eq!(
+            order,
+            [
+                (2, 1),
+                (0, 0),
+                (2, 3),
+                (0, 1),
+                (0, 2),
+                (1, 0),
+                (2, 2),
+                (1, 1),
+                (2, 0),
+                (0, 3),
+            ]
+        );
+        // The `(time, server, push order)` key, spelled out.
+        let mut keyed: Vec<(f64, u32, u32)> = cells
+            .iter()
+            .flat_map(|c| c.misses.iter().map(|m| (m.time, m.origin.0, m.origin.1)))
+            .collect();
+        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let want: Vec<(u32, u32)> = keyed.iter().map(|&(_, j, i)| (j, i)).collect();
+        assert_eq!(order, want);
     }
 }

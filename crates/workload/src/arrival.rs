@@ -138,12 +138,6 @@ impl BatchArrivals {
         self.clock
     }
 
-    /// Resets the clock to zero (the RNG is external, so this alone does
-    /// not reproduce a stream).
-    pub fn reset(&mut self) {
-        self.clock = 0.0;
-    }
-
     /// Advances the stream: returns the next batch's arrival time and its
     /// size (≥ 1). The gap draw is a static match over [`GapLaw`] and the
     /// batch draw is the inlined geometric sampler.
@@ -285,27 +279,6 @@ impl BatchArrivals {
     }
 }
 
-/// Generates batches until `horizon` (exclusive), invoking `f` for each
-/// `(time, batch_size)`.
-///
-/// Returns the number of *keys* (not batches) generated.
-pub fn for_each_batch_until<R: RngCore + ?Sized>(
-    stream: &mut BatchArrivals,
-    horizon: f64,
-    rng: &mut R,
-    mut f: impl FnMut(f64, u64),
-) -> u64 {
-    let mut keys = 0;
-    loop {
-        let (t, b) = stream.next_batch_with(rng);
-        if t >= horizon {
-            return keys;
-        }
-        keys += b;
-        f(t, b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,7 +316,14 @@ mod tests {
         let mut s = BatchArrivals::new(gaps, 0.1).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let horizon = 20.0;
-        let keys = for_each_batch_until(&mut s, horizon, &mut rng, |_, _| {});
+        let mut keys = 0;
+        loop {
+            let (t, b) = s.next_batch_with(&mut rng);
+            if t >= horizon {
+                break;
+            }
+            keys += b;
+        }
         let rate = keys as f64 / horizon;
         assert!((rate / 62_500.0 - 1.0).abs() < 0.02, "rate={rate}");
     }
@@ -357,17 +337,6 @@ mod tests {
         let (t2, b2) = s.next_batch_with(&mut rng);
         assert_eq!((t1, t2), (0.5, 1.0));
         assert_eq!((b1, b2), (1, 1));
-    }
-
-    #[test]
-    fn reset_clears_clock() {
-        let gaps = Exponential::new(10.0).unwrap();
-        let mut s = BatchArrivals::new(gaps, 0.0).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        s.next_batch_with(&mut rng);
-        assert!(s.clock() > 0.0);
-        s.reset();
-        assert_eq!(s.clock(), 0.0);
     }
 
     #[test]

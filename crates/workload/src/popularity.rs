@@ -189,9 +189,8 @@ impl WeightedAlias {
 /// `{p_j}`, the simulator's alternative to imposing shares directly.
 ///
 /// Key spaces up to 2²⁰ keys sample through a precomputed Walker alias
-/// table — one uniform and two array reads per draw; larger spaces
-/// (e.g. [`ZipfPopularity::facebook_etc`]) fall back to table-free
-/// rejection-inversion. The two samplers realize the same pmf but
+/// table — one uniform and two array reads per draw; larger spaces fall
+/// back to table-free rejection-inversion. The two samplers realize the same pmf but
 /// consume the RNG stream differently, so which one is active is a
 /// function of the key space alone, never of the call site.
 ///
@@ -225,17 +224,6 @@ impl ZipfPopularity {
         let zipf = Zipf::new(keys, skew)?;
         let alias = (keys <= ALIAS_MAX_KEYS).then(|| AliasTable::build(&zipf));
         Ok(Self { zipf, alias })
-    }
-
-    /// Facebook-like preset: the ETC pool's popularity is roughly Zipf
-    /// with exponent ≈ 1 over a very large key space (Atikoglu et al.).
-    ///
-    /// # Errors
-    ///
-    /// Never fails for the preset constants (kept as `Result` for API
-    /// uniformity).
-    pub fn facebook_etc() -> Result<Self, ParamError> {
-        Self::new(50_000_000, 1.01)
     }
 
     /// Key-space size.
@@ -316,9 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn facebook_preset_is_large_and_skewed() {
-        let pop = ZipfPopularity::facebook_etc().unwrap();
-        assert!(pop.keys() >= 10_000_000);
+    fn large_keyspace_stays_on_rejection_inversion() {
+        // An ETC-sized pool: Zipf(1.01) over 50 M keys.
+        let pop = ZipfPopularity::new(50_000_000, 1.01).unwrap();
+        assert_eq!(pop.keys(), 50_000_000);
         assert!(pop.skew() > 1.0);
         // Too large for a table: stays on rejection-inversion.
         assert!(!pop.uses_alias_table());

@@ -1,8 +1,8 @@
 //! Property-based tests for the workload substrate.
 
-use memlat_dist::{Exponential, GeneralizedPareto};
+use memlat_dist::GeneralizedPareto;
 use memlat_workload::{
-    arrival::{for_each_batch_until, BatchArrivals},
+    arrival::BatchArrivals,
     placement::{induced_shares, ConsistentHashRing},
     ZipfPopularity,
 };
@@ -61,17 +61,6 @@ proptest! {
         prop_assert!(h100 >= h10);
         let flatter = ZipfPopularity::new(keys, skew * 0.5).unwrap();
         prop_assert!(pop.head_mass(10) >= flatter.head_mass(10) - 1e-12);
-    }
-
-    /// for_each_batch_until returns exactly the keys it reported.
-    #[test]
-    fn batch_counting_consistent(rate in 1_000.0f64..20_000.0, seed in 0u64..100) {
-        let gaps = Exponential::new(rate).unwrap();
-        let mut s = BatchArrivals::new(gaps, 0.2).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut manual = 0u64;
-        let reported = for_each_batch_until(&mut s, 0.5, &mut rng, |_, b| manual += b);
-        prop_assert_eq!(manual, reported);
     }
 }
 
