@@ -489,7 +489,7 @@ impl ClusterSim {
             .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
             let WorkerSink {
                 latency,
-                sketch,
+                mut sketch,
                 degraded_latency,
                 mut healthy_latency,
                 ..
@@ -497,6 +497,9 @@ impl ClusterSim {
             if plain_run {
                 healthy_latency = latency;
             }
+            // The summary outlives the run (one per server), so release
+            // the spare capacity the sketch's growth left behind.
+            sketch.shrink_to_fit();
             Ok(ServerOutcome {
                 keys: stats.counters.jobs,
                 summary: ServerSummary {
@@ -572,6 +575,7 @@ impl ClusterSim {
                     // The summaries must describe the effective (post-
                     // hedge) latencies; rebuild them from the records.
                     out.summary.latency = latency;
+                    sketch.shrink_to_fit();
                     out.summary.sketch = sketch;
                     out.summary.degraded_latency = degraded_latency;
                     out.summary.healthy_latency = healthy_latency;

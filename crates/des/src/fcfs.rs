@@ -56,11 +56,9 @@ pub struct FcfsStation {
     last_arrival: f64,
     busy_time: f64,
     jobs: u64,
-    total_wait: f64,
-    total_sojourn: f64,
-    /// Departure times of jobs still in the system at the last arrival.
-    /// FCFS departures are nondecreasing, so this is a sorted queue and
-    /// expiry is a pop-front scan.
+    /// Departure times of jobs still in the system at the last arrival,
+    /// plus the last job itself. FCFS departures are nondecreasing, so
+    /// this is a sorted queue and expiry is a pop-front scan.
     in_system: std::collections::VecDeque<f64>,
     queue_max: usize,
 }
@@ -90,8 +88,6 @@ impl FcfsStation {
         self.last_departure = departure;
         self.busy_time += service;
         self.jobs += 1;
-        self.total_wait += start - arrival;
-        self.total_sojourn += departure - arrival;
         // Queue-length high-water mark: the in-system count changes by +1
         // at arrivals and −1 at departures, so its maximum is attained
         // right after an arrival. Expire finished jobs, admit this one.
@@ -111,11 +107,11 @@ impl FcfsStation {
     /// into `departures` — the Lindley recursion
     /// `D_i = max(A_i, D_{i−1}) + S_i` as one tight scan.
     ///
-    /// State updates (busy time, wait/sojourn totals, queue high-water
-    /// mark) are applied in job order with the exact per-job expressions
-    /// of [`FcfsStation::submit`], so interleaving scalar submits and
-    /// block submits on one station is bit-identical to submitting every
-    /// job individually.
+    /// State updates (busy time, queue high-water mark, the in-system
+    /// queue) end exactly where per-job [`FcfsStation::submit`] calls
+    /// would leave them, with the same per-job float expressions, so
+    /// interleaving scalar submits and block submits on one station is
+    /// bit-identical to submitting every job individually.
     ///
     /// # Panics
     ///
@@ -132,31 +128,31 @@ impl FcfsStation {
         // floating-point add sequence is unchanged, so the write-back
         // below leaves the station bit-identical to scalar submits.
         //
-        // Codegen audit (`--emit=asm`, x86_64 release): this scan
-        // compiles to scalar `maxsd`/`addsd` — the Lindley recurrence
-        // `depart = max(arrival, depart) + service` carries `depart`
-        // across iterations, so no lane-parallel form exists without
+        // Codegen audit (`--emit=asm`, x86_64 release): the recurrence
+        // compiles to scalar `maxsd`/`addsd` — `depart` is carried across
+        // iterations, so no lane-parallel form exists without
         // reassociating the adds (which would break bit-identity with
-        // per-job submits). It stays scalar by design; the vector wins
-        // live upstream in the uniform→law transforms that feed it.
+        // per-job submits). Beside it each job costs the two contract
+        // asserts (`ucomisd`), the `busy_time` add, and for the
+        // high-water mark one load and one `ucomisd` whose branch is
+        // taken only when the mark rises, so it predicts well. The
+        // deque is touched once per block (`memmove`/`memcpy` in the
+        // epilogue), never per job.
         let mut depart = self.last_departure;
         let mut last_arrival = self.last_arrival;
         let mut busy_time = self.busy_time;
-        let mut total_wait = self.total_wait;
-        let mut total_sojourn = self.total_sojourn;
-        let mut queue_max = self.queue_max;
-        // Queue high-water mark without per-job deque traffic: departures
-        // are globally nondecreasing, so the deque is sorted and the
-        // front-first expiry of `submit` pops exactly the entries
-        // `<= arrival`. The in-system count at arrival `i` is therefore
-        // the unexpired suffix of the carried deque (front pointer `c`)
-        // plus this block's own jobs `k..i` — whose departures are
-        // already in the output lane — plus job `i` itself. Both pointers
-        // only move forward, so the block costs O(n) total.
+        // Queue high-water mark as a running-max test. The in-system
+        // count at arrival `i` is job `i` plus the earlier jobs departing
+        // after `A_i`; it rises by at most one per arrival, and since
+        // FCFS departures are nondecreasing those earlier jobs are a
+        // suffix. So the count exceeds the current mark `qm` iff job
+        // `i − qm` departs after `A_i`, and then the mark becomes
+        // `qm + 1`. Every job counts itself, so a nonempty block lifts
+        // a zero mark to one. Jobs before this block are read from the
+        // tail of the carried deque; a job older than the deque has
+        // already departed by the last arrival.
         let carry: &[f64] = self.in_system.make_contiguous();
-        let carry_len = carry.len();
-        let mut c = 0usize;
-        let mut k = 0usize;
+        let mut queue_max = self.queue_max.max(1);
         for i in 0..n {
             let arrival = arrivals[i];
             let service = services[i];
@@ -166,33 +162,31 @@ impl FcfsStation {
             );
             assert!(service >= 0.0, "negative service time: {service}");
             last_arrival = arrival;
-            let start = arrival.max(depart);
-            depart = start + service;
+            depart = arrival.max(depart) + service;
             departures[i] = depart;
             busy_time += service;
-            total_wait += start - arrival;
-            total_sojourn += depart - arrival;
-            while c < carry_len && carry[c] <= arrival {
-                c += 1;
-            }
-            while k < i && departures[k] <= arrival {
-                k += 1;
-            }
-            let in_system = (carry_len - c) + (i - k) + 1;
-            if in_system > queue_max {
-                queue_max = in_system;
+            let older = if i >= queue_max {
+                Some(departures[i - queue_max])
+            } else {
+                carry
+                    .len()
+                    .checked_sub(queue_max - i)
+                    .map(|back| carry[back])
+            };
+            if older.is_some_and(|d| d > arrival) {
+                queue_max += 1;
             }
         }
         self.last_departure = depart;
         self.last_arrival = last_arrival;
         self.busy_time = busy_time;
         self.jobs += n as u64;
-        self.total_wait = total_wait;
-        self.total_sojourn = total_sojourn;
         self.queue_max = queue_max;
-        // Restore the deque invariant for the next (scalar or block)
-        // submit: unexpired carried entries, then this block's unexpired
-        // departures.
+        // Restore the deque exactly as per-job submits leave it: the
+        // carried and in-block departures after the last arrival, then
+        // the last job itself.
+        let c = carry.partition_point(|&d| d <= last_arrival);
+        let k = departures[..n - 1].partition_point(|&d| d <= last_arrival);
         self.in_system.drain(..c);
         self.in_system.extend(departures[k..].iter().copied());
     }
@@ -231,26 +225,6 @@ impl FcfsStation {
     pub fn utilization(&self, horizon: f64) -> f64 {
         assert!(horizon > 0.0, "horizon must be positive");
         self.busy_time / horizon
-    }
-
-    /// Mean waiting time over all served jobs.
-    #[must_use]
-    pub fn mean_wait(&self) -> f64 {
-        if self.jobs == 0 {
-            0.0
-        } else {
-            self.total_wait / self.jobs as f64
-        }
-    }
-
-    /// Mean sojourn time over all served jobs.
-    #[must_use]
-    pub fn mean_sojourn(&self) -> f64 {
-        if self.jobs == 0 {
-            0.0
-        } else {
-            self.total_sojourn / self.jobs as f64
-        }
     }
 }
 
@@ -311,17 +285,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let mut s = FcfsStation::new();
         let mut t = 0.0;
+        let mut total_sojourn = 0.0;
         let n = 400_000;
         for _ in 0..n {
             t += -(1.0 - rng.gen::<f64>()).max(1e-15).ln() / 0.5;
             let svc = -(1.0 - rng.gen::<f64>()).max(1e-15).ln();
-            s.submit(t, svc);
+            total_sojourn += s.submit(t, svc).sojourn();
         }
-        assert!(
-            (s.mean_sojourn() - 2.0).abs() < 0.08,
-            "{}",
-            s.mean_sojourn()
-        );
+        let mean_sojourn = total_sojourn / f64::from(n);
+        assert!((mean_sojourn - 2.0).abs() < 0.08, "{mean_sojourn}");
         assert!((s.utilization(t) - 0.5).abs() < 0.01);
     }
 
@@ -363,15 +335,14 @@ mod tests {
         assert_eq!(scalar.jobs(), blocked.jobs());
         assert_eq!(scalar.busy_time().to_bits(), blocked.busy_time().to_bits());
         assert_eq!(scalar.queue_max(), blocked.queue_max());
-        assert_eq!(scalar.mean_wait().to_bits(), blocked.mean_wait().to_bits());
-        assert_eq!(
-            scalar.mean_sojourn().to_bits(),
-            blocked.mean_sojourn().to_bits()
-        );
         assert_eq!(
             scalar.busy_until().to_bits(),
             blocked.busy_until().to_bits()
         );
+        // The carried queue holds exactly what per-job submits keep: a
+        // block that left departed jobs behind would answer every query
+        // the same and still grow without bound.
+        assert_eq!(scalar.in_system, blocked.in_system);
     }
 
     #[test]

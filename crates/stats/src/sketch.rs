@@ -67,8 +67,12 @@ fn ceil_clamp(raw: f64) -> i32 {
 /// Counters live in one dense `Vec` indexed from `base` (the lowest bin
 /// seen so far) rather than a tree map, so the simulator's per-key
 /// `push` is an array increment with no allocation or pointer chasing
-/// once the latency range has been seen. The vector grows only when a
-/// new minimum or maximum bin appears — a handful of times per run.
+/// once the latency range has been seen. The vector grows exactly to
+/// each new minimum or maximum bin, so its first and last counters are
+/// always nonzero. A new minimum shifts every counter up; on a short
+/// stream (one simulated server's keys) that can happen on many of the
+/// first pushes, but timing the per-server sketch stage on the M=10k
+/// cluster showed no gain from growing the front with headroom.
 ///
 /// Equality ([`PartialEq`]) compares the *logical* contents (occupied
 /// bins and their counts), not the backing storage, so two sketches
@@ -241,8 +245,7 @@ impl QuantileSketch {
             self.base = idx;
             self.bins.push(0);
         } else if idx < self.base {
-            // New minimum bin: shift existing counters up. Rare (a few
-            // times per run), so exact growth beats headroom bookkeeping.
+            // New minimum bin: shift existing counters up.
             let grow = (self.base - idx) as usize;
             self.bins.splice(0..0, std::iter::repeat_n(0, grow));
             self.base = idx;
@@ -250,6 +253,13 @@ impl QuantileSketch {
             self.bins.resize((idx - self.base) as usize + 1, 0);
         }
         &mut self.bins[(idx - self.base) as usize]
+    }
+
+    /// Releases the spare capacity of the backing array, which then
+    /// holds exactly the occupied bins. Call it on sketches that are kept
+    /// after their stream ends.
+    pub fn shrink_to_fit(&mut self) {
+        self.bins.shrink_to_fit();
     }
 
     /// Folds another sketch into this one by counter addition.
@@ -641,6 +651,90 @@ mod tests {
         assert!((q1 - 1e-3).abs() <= s.alpha() * 1e-3, "q1={q1}");
         let q2 = s.quantile(0.5);
         assert!((q2 - 1.0).abs() <= s.alpha(), "q2={q2}");
+    }
+
+    /// The occupied span `last − first + 1` of the backing array.
+    fn occupied_span(s: &QuantileSketch) -> usize {
+        let first = s.bins.iter().position(|&c| c != 0).unwrap_or(0);
+        s.bins
+            .iter()
+            .rposition(|&c| c != 0)
+            .map_or(0, |last| last + 1 - first)
+    }
+
+    #[test]
+    fn monotone_streams_agree_across_push_slice_and_merge() {
+        // Steps of 3% exceed one bin (γ ≈ 1.0202), so the descending
+        // stream meets a new minimum bin on every push and the ascending
+        // one a new maximum: the front-growth worst case and its mirror.
+        let ascending: Vec<f64> = (0..700).map(|i| 1e-6 * 1.03f64.powi(i)).collect();
+        let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+        let ps = [0.0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0];
+        let mut reference: Option<QuantileSketch> = None;
+        for xs in [&descending, &ascending] {
+            let mut pushed = QuantileSketch::new();
+            for &x in xs.iter() {
+                pushed.push(x);
+            }
+            let mut sliced = QuantileSketch::new();
+            sliced.push_slice(xs);
+            let mut merged = QuantileSketch::new();
+            for part in xs.chunks(7) {
+                let mut p = QuantileSketch::new();
+                p.push_slice(part);
+                merged.merge(&p);
+            }
+            // Exact growth: the array is the occupied span.
+            for s in [&pushed, &sliced, &merged] {
+                assert_eq!(s.bins.len(), occupied_span(s));
+            }
+            let first = reference.get_or_insert_with(|| pushed.clone()).clone();
+            for s in [&pushed, &sliced, &merged] {
+                assert_eq!(*s, first);
+                assert_eq!(s.min().to_bits(), first.min().to_bits());
+                assert_eq!(s.max().to_bits(), first.max().to_bits());
+                for p in ps {
+                    assert_eq!(
+                        s.quantile(p).to_bits(),
+                        first.quantile(p).to_bits(),
+                        "p={p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_exactly_the_occupied_span() {
+        let mut s = QuantileSketch::new();
+        for i in (0..300).rev() {
+            s.push(1e-5 * 1.03f64.powi(i));
+        }
+        s.push(0.0);
+        s.bins.reserve(100);
+        let before = s.clone();
+        s.shrink_to_fit();
+        assert_eq!(s.bins.len(), occupied_span(&s));
+        assert_eq!(s.bins.capacity(), occupied_span(&s));
+        assert_eq!(s, before);
+        assert_eq!(s.bin_count(), before.bin_count());
+        for p in [0.0, 0.2, 0.5, 0.99, 1.0] {
+            assert_eq!(s.quantile(p).to_bits(), before.quantile(p).to_bits());
+        }
+        // A trimmed sketch keeps growing and merging as before.
+        s.push(1e-9);
+        let mut grown = before;
+        grown.push(1e-9);
+        assert_eq!(s, grown);
+        // Underflow-only and empty sketches trim to no bins.
+        let mut zeros = QuantileSketch::new();
+        zeros.push(0.0);
+        zeros.shrink_to_fit();
+        assert_eq!(zeros.bins.capacity(), 0);
+        assert_eq!(zeros.quantile(0.5), 0.0);
+        let mut empty = QuantileSketch::new();
+        empty.shrink_to_fit();
+        assert_eq!(empty, QuantileSketch::new());
     }
 
     #[test]

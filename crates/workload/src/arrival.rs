@@ -231,15 +231,19 @@ impl BatchArrivals {
         let batch = self.batch;
         // Near the horizon, staging past the crossing is pure waste (the
         // tail is discarded and its draws replayed), so cap the staged
-        // batches by the expected count left before the horizon, with
-        // slack for gap-law variance. The cap only shrinks the effective
-        // block size — proven invisible in the output — and a short fill
-        // that neither crosses nor reaches `min_keys` just means the
-        // caller fills again from a closer clock.
+        // batches by the expected count `e` left before the horizon, with
+        // slack for gap-law variance: about two standard deviations of a
+        // renewal count (`2√e`) plus a constant for short remainders.
+        // Proportional slack would over-generate by its fraction on every
+        // phase that fits in one fill. The cap only shrinks the
+        // effective block size — proven invisible in the output — and a
+        // short fill that neither crosses nor reaches `min_keys` just
+        // means the caller fills again from a closer clock.
         let mean_gap = self.gaps.mean();
         let remaining = (horizon - self.clock).max(0.0);
         let cap = if mean_gap > 0.0 && mean_gap.is_finite() {
-            (remaining / mean_gap * 1.25) as usize + 8
+            let expected = remaining / mean_gap;
+            ((expected + 2.0 * expected.sqrt()) as usize).saturating_add(8)
         } else {
             usize::MAX
         };
