@@ -129,8 +129,8 @@ pub enum Retention {
     #[default]
     Full,
     /// Drop per-key buffers as soon as each server's summaries are
-    /// folded in: memory stays `O(servers + sketch bins)` regardless of
-    /// duration. Quantiles are answered by the sketch (≤ 1% relative
+    /// folded in: memory is a fixed-size summary per server plus one
+    /// sketch per worker thread, regardless of duration. Quantiles are answered by the sketch (≤ 1% relative
     /// error); [`crate::SimOutput::records`] becomes unavailable.
     Summary,
 }

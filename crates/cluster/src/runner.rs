@@ -114,7 +114,7 @@ fn run_one(cfg: SimConfig, n: u64, rep: u64, requests: usize) -> Result<RepResul
         total: stats.total.mean,
         miss_ratio: out.miss_ratio(),
         peak_utilization: peak,
-        latency_sketch: out.pooled_latency_sketch(),
+        latency_sketch: out.pooled_latency_sketch().clone(),
     })
 }
 

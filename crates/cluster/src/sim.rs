@@ -2,24 +2,26 @@
 //!
 //! The per-server simulations are embarrassingly parallel *by
 //! construction*: server `j` draws every random number from its own
-//! seed-derived stream (`stream_rng(seed, 1000 + j)`) into its own
-//! server-indexed cell, and the database stage consumes one miss stream
-//! in `(time, server, push order)` order — one stable time sort over the
-//! shards concatenated in server order. [`ClusterSim::run`] therefore
+//! seed-derived stream (`stream_rng(seed, 1000 + j)`), its summary lands
+//! in a server-indexed slot, the worker latency sketches merge by count
+//! addition, and the database stage consumes one miss stream in
+//! `(time, server, push order)` order — one sort by `(time, origin)`
+//! over the per-worker miss buffers. [`ClusterSim::run`] therefore
 //! dispatches servers round-robin across [`SimConfig::threads`] worker
 //! threads and still produces **bit-identical** output to the
 //! sequential path for a fixed seed.
 //!
 //! The per-key hot path is **streaming and block-batched**: each
 //! server's resolved keys flow from [`simulate_server_streaming_with`]
-//! straight into the per-server summaries (and, only when the retention
-//! policy or hedging needs them, into reusable [`KeyColumns`] buffers),
-//! a [`SimConfig::effective_block`]-sized lane block at a time on
+//! straight into the server's Welford summaries and its worker's one
+//! latency sketch and miss buffer (and, only when the retention policy
+//! or hedging needs them, into reusable [`KeyColumns`] buffers), a
+//! [`SimConfig::effective_block`]-sized lane block at a time on
 //! eligible runs. Under [`Retention::Summary`] without hedging, peak
-//! memory is `O(servers + block + sketch)` — independent of the key
-//! count. Sweeps can pass one [`SimScratch`] to
-//! [`ClusterSim::run_with`] to reuse every per-server buffer across
-//! runs.
+//! memory is a fixed-size [`ServerSummary`] per server, one block
+//! scratch and one sketch per worker thread, and the miss stream (one
+//! entry per missed key). Sweeps can pass one [`SimScratch`] to
+//! [`ClusterSim::run_with`] to reuse every buffer across runs.
 
 use memlat_des::metrics::{CoalesceCounters, ResilienceCounters, ServerCounters};
 use memlat_des::rng::stream_rng;
@@ -52,8 +54,6 @@ pub struct ClusterSim;
 pub struct ServerSummary {
     /// Welford statistics of the per-key server latency `s`.
     pub latency: StreamingStats,
-    /// Quantile sketch of `s` (≤ 1% relative error, exactly mergeable).
-    pub sketch: QuantileSketch,
     /// Welford statistics of `s` over keys served inside a slowdown
     /// window (empty on healthy runs).
     pub degraded_latency: StreamingStats,
@@ -81,7 +81,6 @@ impl ServerSummary {
     fn empty() -> Self {
         Self {
             latency: StreamingStats::new(),
-            sketch: QuantileSketch::new(),
             degraded_latency: StreamingStats::new(),
             healthy_latency: StreamingStats::new(),
             counters: ServerCounters::default(),
@@ -93,37 +92,42 @@ impl ServerSummary {
     }
 }
 
-/// What one server worker hands back to the merge step (the bulky
-/// per-key data stays in the worker's [`ServerCell`]).
-struct ServerOutcome {
-    /// Keys recorded (post-warm-up).
-    keys: u64,
-    summary: ServerSummary,
-}
-
 const FLAG_FORCED: u8 = 1;
 const FLAG_DEGRADED: u8 = 2;
 
-/// One server's reusable per-key buffers.
+/// One server's reusable per-key buffers, populated only when the
+/// retention policy or hedging needs them.
 #[derive(Debug, Default)]
 struct ServerCell {
     /// `(s, d)` columns in arrival order (db latency filled in later).
-    /// Populated only when the retention policy or hedging needs them.
     cols: KeyColumns,
     /// Per-record forced/degraded flags, kept only when hedging needs to
     /// rebuild the summaries after the merge-step min pass.
     flags: Vec<u8>,
-    /// Missed keys in push order: arrival time at the database + origin
-    /// `(server, idx)`. The merge step time-sorts them (see
-    /// [`merge_misses`]).
+}
+
+/// One worker thread's reusable state. A thread simulates its servers
+/// one at a time, so everything here costs `O(threads)`, not
+/// `O(servers)`.
+#[derive(Debug, Default)]
+struct WorkerScratch {
+    /// Staging lanes for the block-batched server hot path.
+    block: BlockScratch,
+    /// Sketch of `s` over every key of this worker's servers. Sketches
+    /// merge by count addition, so the pooled sketch does not depend on
+    /// which worker simulated which server.
+    sketch: QuantileSketch,
+    /// Missed keys of this worker's servers in push order: arrival time
+    /// at the database + origin `(server, idx)`. The merge step sorts
+    /// them (see [`merge_misses`]).
     misses: Vec<MissArrival>,
 }
 
 /// The per-server streaming fold: consumes resolved keys (one at a time
-/// or a lane block at a time) into the summaries, miss stream and
-/// optional per-key columns. Living behind [`RecordSink`] instead of a
-/// closure lets the block path push whole slices into the Welford
-/// accumulator, sketch and columns.
+/// or a lane block at a time) into the summaries, the worker's sketch
+/// and miss stream, and the optional per-key columns. Living behind
+/// [`RecordSink`] instead of a closure lets the block path push whole
+/// slices into the Welford accumulator, sketch and columns.
 struct WorkerSink<'a> {
     j: u32,
     idx: u32,
@@ -131,10 +135,10 @@ struct WorkerSink<'a> {
     keep_pairs: bool,
     hedging: bool,
     misses: &'a mut Vec<MissArrival>,
+    sketch: &'a mut QuantileSketch,
     cols: &'a mut KeyColumns,
     flags: &'a mut Vec<u8>,
     latency: StreamingStats,
-    sketch: QuantileSketch,
     degraded_latency: StreamingStats,
     healthy_latency: StreamingStats,
 }
@@ -227,14 +231,13 @@ impl RecordSink for WorkerSink<'_> {
 /// ```
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Per-server cells, indexed by server.
+    /// Per-server column buffers, indexed by server (empty unless the
+    /// run keeps records or hedges).
     cells: Vec<ServerCell>,
-    /// Staging lanes for the block-batched server hot path: one per
-    /// worker thread, not per server. A thread simulates its servers one
-    /// at a time, so sharing keeps the block scratch footprint
-    /// `O(threads × block)` instead of `O(servers × block)` — at
-    /// M = 10 000 servers the per-server layout dominated peak memory.
-    blocks: Vec<BlockScratch>,
+    /// One block scratch, latency sketch and miss buffer per worker
+    /// thread, not per server: at M = 10 000 servers per-server copies
+    /// dominated peak memory.
+    workers: Vec<WorkerScratch>,
     /// Pre-hedge per-server latency populations (hedging only).
     pristine: Vec<Vec<f32>>,
     /// The merged miss stream.
@@ -267,6 +270,9 @@ pub struct SimOutput {
     server_records: Option<Vec<KeyColumns>>,
     /// Always-on per-server streaming summaries.
     summaries: Vec<ServerSummary>,
+    /// Quantile sketch of per-key server latency, pooled over all
+    /// servers.
+    sketch: QuantileSketch,
     /// Welford statistics of db latency over the missed keys.
     db_latency: StreamingStats,
     /// Quantile sketch of db latency over the missed keys.
@@ -328,7 +334,7 @@ impl ClusterSim {
 
         let SimScratch {
             cells,
-            blocks,
+            workers,
             pristine,
             misses: all_misses,
             zipf,
@@ -337,8 +343,13 @@ impl ClusterSim {
         if cells.len() < servers {
             cells.resize_with(servers, ServerCell::default);
         }
-        if blocks.len() < threads {
-            blocks.resize_with(threads, BlockScratch::default);
+        if workers.len() < threads {
+            workers.resize_with(threads, WorkerScratch::default);
+        }
+        let workers = &mut workers[..threads];
+        for w in workers.iter_mut() {
+            w.sketch = QuantileSketch::new();
+            w.misses.clear();
         }
 
         // Pre-build (or reuse) the Zipf popularity for cache-backed
@@ -421,22 +432,14 @@ impl ClusterSim {
         let block = cfg.effective_block();
         let worker = |j: usize,
                       cell: &mut ServerCell,
-                      block_scratch: &mut BlockScratch|
-         -> Result<ServerOutcome, SimError> {
-            let ServerCell {
-                cols,
-                flags,
-                misses,
-            } = cell;
+                      ws: &mut WorkerScratch|
+         -> Result<ServerSummary, SimError> {
+            let ServerCell { cols, flags } = cell;
             cols.clear();
             flags.clear();
-            misses.clear();
             let p = shares[j];
             if p <= 0.0 {
-                return Ok(ServerOutcome {
-                    keys: 0,
-                    summary: ServerSummary::empty(),
-                });
+                return Ok(ServerSummary::empty());
             }
             let lam_j = p * params.total_key_rate();
             let gaps = params
@@ -456,11 +459,11 @@ impl ClusterSim {
                 plain_run,
                 keep_pairs,
                 hedging,
-                misses,
+                misses: &mut ws.misses,
+                sketch: &mut ws.sketch,
                 cols,
                 flags,
                 latency: StreamingStats::new(),
-                sketch: QuantileSketch::new(),
                 degraded_latency: StreamingStats::new(),
                 healthy_latency: StreamingStats::new(),
             };
@@ -483,13 +486,12 @@ impl ClusterSim {
                     block,
                 },
                 &mut rng,
-                block_scratch,
+                &mut ws.block,
                 &mut sink,
             )
             .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
             let WorkerSink {
                 latency,
-                mut sketch,
                 degraded_latency,
                 mut healthy_latency,
                 ..
@@ -497,27 +499,24 @@ impl ClusterSim {
             if plain_run {
                 healthy_latency = latency;
             }
-            // The summary outlives the run (one per server), so release
-            // the spare capacity the sketch's growth left behind.
-            sketch.shrink_to_fit();
-            Ok(ServerOutcome {
-                keys: stats.counters.jobs,
-                summary: ServerSummary {
-                    latency,
-                    sketch,
-                    degraded_latency,
-                    healthy_latency,
-                    counters: stats.counters,
-                    resilience: stats.resilience,
-                    // Filled in by the coalescing db stage after merge.
-                    coalesce: CoalesceCounters::default(),
-                    utilization: stats.utilization,
-                    cached_items: stats.cached_items,
-                },
+            Ok(ServerSummary {
+                latency,
+                degraded_latency,
+                healthy_latency,
+                counters: stats.counters,
+                resilience: stats.resilience,
+                // Filled in by the coalescing db stage after merge.
+                coalesce: CoalesceCounters::default(),
+                utilization: stats.utilization,
+                cached_items: stats.cached_items,
             })
         };
 
-        let mut outcomes = dispatch(servers, threads, &worker, cells, blocks)?;
+        let mut summaries = dispatch(servers, &worker, cells, workers)?;
+        let mut sketch = QuantileSketch::new();
+        for w in workers.iter() {
+            sketch.merge(&w.sketch);
+        }
 
         // Hedged duplicates: a deterministic merge-step pass, in server
         // order, so the thread count still cannot change the output. A
@@ -535,22 +534,21 @@ impl ClusterSim {
                     pop.clear();
                     pop.extend_from_slice(cell.cols.s());
                 }
-                for (j, (out, cell)) in outcomes.iter_mut().zip(cells.iter_mut()).enumerate() {
+                for (j, (summary, cell)) in summaries.iter_mut().zip(cells.iter_mut()).enumerate() {
                     let replica = &pristine[(j + 1) % m];
                     if replica.is_empty() {
                         continue;
                     }
-                    let ServerCell { cols, flags, .. } = cell;
+                    let ServerCell { cols, flags } = cell;
                     let mut rng = stream_rng(cfg.seed, 3_000_000 + j as u64);
                     let mut latency = StreamingStats::new();
-                    let mut sketch = QuantileSketch::new();
                     let mut degraded_latency = StreamingStats::new();
                     let mut healthy_latency = StreamingStats::new();
                     for (i, slot) in cols.s_mut().iter_mut().enumerate() {
                         let forced = flags[i] & FLAG_FORCED != 0;
                         let mut s = f64::from(*slot);
                         if !forced && s > h.delay {
-                            out.summary.resilience.hedges_sent += 1;
+                            summary.resilience.hedges_sent += 1;
                             let k = (rng.next_u64() % replica.len() as u64) as usize;
                             let (eff, _) = hedge_outcome(s, h.delay, f64::from(replica[k]));
                             // A win must be observable at the f32
@@ -558,13 +556,12 @@ impl ClusterSim {
                             // counter and the records never disagree.
                             let eff32 = eff as f32;
                             if eff32 < *slot {
-                                out.summary.resilience.hedges_won += 1;
+                                summary.resilience.hedges_won += 1;
                                 *slot = eff32;
                                 s = f64::from(eff32);
                             }
                         }
                         latency.push(s);
-                        sketch.push(s);
                         if forced {
                         } else if flags[i] & FLAG_DEGRADED != 0 {
                             degraded_latency.push(s);
@@ -574,11 +571,15 @@ impl ClusterSim {
                     }
                     // The summaries must describe the effective (post-
                     // hedge) latencies; rebuild them from the records.
-                    out.summary.latency = latency;
-                    sketch.shrink_to_fit();
-                    out.summary.sketch = sketch;
-                    out.summary.degraded_latency = degraded_latency;
-                    out.summary.healthy_latency = healthy_latency;
+                    summary.latency = latency;
+                    summary.degraded_latency = degraded_latency;
+                    summary.healthy_latency = healthy_latency;
+                }
+                // So must the pooled sketch: rebuild it from every
+                // server's records, hedged or not.
+                sketch = QuantileSketch::new();
+                for cell in &cells[..m] {
+                    sketch.extend(cell.cols.s().iter().map(|&s| f64::from(s)));
                 }
             }
         }
@@ -586,18 +587,16 @@ impl ClusterSim {
         // Merge in server order — the only order-sensitive step, and it
         // is fixed regardless of which thread finished first.
         let mut server_records: Vec<KeyColumns> = Vec::new();
-        let mut summaries = Vec::with_capacity(outcomes.len());
-        let mut utilization = Vec::with_capacity(outcomes.len());
+        let mut utilization = Vec::with_capacity(summaries.len());
         let mut total_keys = 0u64;
         let mut total_misses = 0u64;
-        for (out, cell) in outcomes.into_iter().zip(cells.iter_mut()) {
-            total_keys += out.keys;
+        for (summary, cell) in summaries.iter().zip(cells.iter_mut()) {
+            total_keys += summary.counters.jobs;
             // Regular cache misses only: forced misses are accounted
             // separately (they reach the database but are a fault
             // artifact, not a cache property).
-            total_misses += out.summary.counters.misses;
-            utilization.push(out.summary.utilization);
-            summaries.push(out.summary);
+            total_misses += summary.counters.misses;
+            utilization.push(summary.utilization);
             if keep_records {
                 // Full retention moves the columns into the output; the
                 // scratch keeps only the (empty) replacement buffers.
@@ -605,7 +604,7 @@ impl ClusterSim {
             }
         }
 
-        merge_misses(&cells[..servers], all_misses);
+        merge_misses(workers, all_misses);
         let shards = cfg.effective_db_shards();
         let mut db_rng = stream_rng(cfg.seed, 2_000_000);
         let mut db_latency = StreamingStats::new();
@@ -653,6 +652,7 @@ impl ClusterSim {
         Ok(SimOutput {
             server_records: keep_records.then_some(server_records),
             summaries,
+            sketch,
             db_latency,
             db_sketch,
             shares,
@@ -668,43 +668,48 @@ impl ClusterSim {
     }
 }
 
-/// Builds the database stage's one miss stream from the per-server
-/// shards in `(time, server, push order)` order: the shards are
-/// concatenated in server order and stable-sorted by time, so equal
-/// times keep concatenation order — server first, then push order. The
-/// database stage assigns misses to its shards round-robin in this
-/// order, so it is part of the output. Shards need not be sorted (a
-/// faulted run's retries resolve out of arrival order).
-fn merge_misses(cells: &[ServerCell], all_misses: &mut Vec<MissArrival>) {
+/// Builds the database stage's one miss stream from the per-worker
+/// buffers in `(time, server, push order)` order: the buffers are
+/// concatenated and sorted by `(time, origin)`. Each origin
+/// `(server, idx)` is unique and `idx` rises in push order, so the order
+/// does not depend on which worker held which server. The database
+/// stage assigns misses to its shards round-robin in this order, so it
+/// is part of the output. Buffers need not be sorted (a faulted run's
+/// retries resolve out of arrival order).
+fn merge_misses(workers: &[WorkerScratch], all_misses: &mut Vec<MissArrival>) {
     all_misses.clear();
-    all_misses.reserve(cells.iter().map(|c| c.misses.len()).sum());
-    for cell in cells {
-        all_misses.extend_from_slice(&cell.misses);
+    all_misses.reserve(workers.iter().map(|w| w.misses.len()).sum());
+    for w in workers {
+        all_misses.extend_from_slice(&w.misses);
     }
-    all_misses.sort_by(|a, b| a.time.total_cmp(&b.time));
+    all_misses.sort_by(|a, b| {
+        a.time
+            .total_cmp(&b.time)
+            .then_with(|| a.origin.cmp(&b.origin))
+    });
 }
 
-/// Runs `worker(j, cell)` for every server on up to `threads` scoped
-/// threads, returning outcomes in server order. Servers are interleaved
-/// round-robin across threads so a hot server does not serialize a whole
-/// chunk: thread `t` gets server `j ≡ t (mod threads)`'s cell and
-/// outcome slot, both indexed by server.
+/// Runs `worker(j, cell, worker_scratch)` for every server on
+/// `workers.len()` scoped threads, returning summaries in server order.
+/// Servers are interleaved round-robin across threads so a hot server
+/// does not serialize a whole chunk: thread `t` gets server
+/// `j ≡ t (mod threads)`'s cell and summary slot, both indexed by server.
 fn dispatch<F>(
     servers: usize,
-    threads: usize,
     worker: &F,
     cells: &mut [ServerCell],
-    blocks: &mut [BlockScratch],
-) -> Result<Vec<ServerOutcome>, SimError>
+    workers: &mut [WorkerScratch],
+) -> Result<Vec<ServerSummary>, SimError>
 where
-    F: Fn(usize, &mut ServerCell, &mut BlockScratch) -> Result<ServerOutcome, SimError> + Sync,
+    F: Fn(usize, &mut ServerCell, &mut WorkerScratch) -> Result<ServerSummary, SimError> + Sync,
 {
-    let mut slots: Vec<Option<Result<ServerOutcome, SimError>>> = Vec::new();
-    slots.resize_with(servers, || None);
+    let threads = workers.len();
+    let mut slots: Vec<Result<ServerSummary, SimError>> = Vec::new();
+    slots.resize_with(servers, || Ok(ServerSummary::empty()));
     if threads <= 1 {
-        let block = &mut blocks[0];
+        let ws = &mut workers[0];
         for (j, (slot, cell)) in slots.iter_mut().zip(cells.iter_mut()).enumerate() {
-            *slot = Some(worker(j, cell, block));
+            *slot = worker(j, cell, ws);
         }
     } else {
         let mut lanes: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
@@ -712,19 +717,16 @@ where
             lanes[j % threads].push((j, slot, cell));
         }
         std::thread::scope(|scope| {
-            for (lane, block) in lanes.into_iter().zip(blocks.iter_mut()) {
+            for (lane, ws) in lanes.into_iter().zip(workers.iter_mut()) {
                 scope.spawn(move || {
                     for (j, slot, cell) in lane {
-                        *slot = Some(worker(j, cell, block));
+                        *slot = worker(j, cell, ws);
                     }
                 });
             }
         });
     }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("server worker slot unfilled"))
-        .collect()
+    slots.into_iter().collect()
 }
 
 impl SimOutput {
@@ -821,12 +823,8 @@ impl SimOutput {
 
     /// Pooled quantile sketch of per-key server latency (all servers).
     #[must_use]
-    pub fn pooled_latency_sketch(&self) -> QuantileSketch {
-        let mut pooled = QuantileSketch::new();
-        for s in &self.summaries {
-            pooled.merge(&s.sketch);
-        }
-        pooled
+    pub fn pooled_latency_sketch(&self) -> &QuantileSketch {
+        &self.sketch
     }
 
     /// Welford statistics of db latency over the missed keys.
@@ -874,7 +872,7 @@ impl SimOutput {
         if self.server_records.is_some() {
             self.server_latency_ecdf().quantile(p)
         } else {
-            self.pooled_latency_sketch().quantile(p)
+            self.sketch.quantile(p)
         }
     }
 
@@ -1024,6 +1022,7 @@ mod tests {
         }
         // Streaming summaries: bit-identical to full precision.
         assert_eq!(seq.summaries(), par.summaries());
+        assert_eq!(seq.pooled_latency_sketch(), par.pooled_latency_sketch());
         assert_eq!(seq.db_latency_stats(), par.db_latency_stats());
         assert_eq!(seq.db_latency_sketch(), par.db_latency_sketch());
         assert_eq!(seq.utilization(), par.utilization());
@@ -1035,6 +1034,7 @@ mod tests {
         // And an oversubscribed thread count changes nothing either.
         let over = ClusterSim::run(&base.threads(64)).unwrap();
         assert_eq!(seq.summaries(), over.summaries());
+        assert_eq!(seq.pooled_latency_sketch(), over.pooled_latency_sketch());
     }
 
     #[test]
@@ -1056,6 +1056,10 @@ mod tests {
                 assert_eq!(reused.records(j), fresh.records(j), "server {j}");
             }
             assert_eq!(reused.summaries(), fresh.summaries());
+            assert_eq!(
+                reused.pooled_latency_sketch(),
+                fresh.pooled_latency_sketch()
+            );
             assert_eq!(reused.db_latency_stats(), fresh.db_latency_stats());
             assert_eq!(reused.miss_ratio(), fresh.miss_ratio());
         }
@@ -1071,6 +1075,7 @@ mod tests {
         assert!(!lean.has_records());
         // Same simulation, same summaries.
         assert_eq!(full.summaries(), lean.summaries());
+        assert_eq!(full.pooled_latency_sketch(), lean.pooled_latency_sketch());
         assert_eq!(full.total_keys(), lean.total_keys());
         assert_eq!(full.miss_ratio(), lean.miss_ratio());
         assert_eq!(full.db_latency_stats(), lean.db_latency_stats());
@@ -1203,8 +1208,41 @@ mod tests {
         let lean = ClusterSim::run(&base.retention(Retention::Summary)).unwrap();
         assert!(!lean.has_records());
         assert_eq!(full.summaries(), lean.summaries());
+        assert_eq!(full.pooled_latency_sketch(), lean.pooled_latency_sketch());
         assert_eq!(full.resilience(), lean.resilience());
         assert!(lean.resilience().hedges_sent > 0);
+    }
+
+    #[test]
+    fn hedged_pooled_sketch_matches_post_hedge_records() {
+        // Server 1 has no keys, so server 0's replica population is empty
+        // and the hedge pass leaves its records alone; the pooled sketch
+        // must still count every server's post-hedge records, server 0's
+        // included.
+        use crate::fault::{ClientPolicy, FaultPlan};
+        let params = ModelParams::builder()
+            .load(memlat_model::LoadDistribution::Custom(vec![
+                0.4, 0.0, 0.3, 0.3,
+            ]))
+            .total_key_rate(100_000.0)
+            .build()
+            .unwrap();
+        let cfg = SimConfig::new(params)
+            .duration(0.3)
+            .warmup(0.05)
+            .seed(34)
+            .fault_plan(FaultPlan::none().slowdown(2, 0.1, 0.25, 4.0))
+            .client(ClientPolicy::none().hedge(1e-4));
+        let out = ClusterSim::run(&cfg).unwrap();
+        assert!(out.resilience().hedges_won > 0);
+        assert!(!out.records(0).is_empty());
+        assert!(out.records(1).is_empty());
+        let mut want = QuantileSketch::new();
+        for j in 0..4 {
+            want.extend(out.records(j).s().iter().map(|&s| f64::from(s)));
+        }
+        assert_eq!(out.pooled_latency_sketch(), &want);
+        assert_eq!(out.pooled_latency_sketch().count(), out.total_keys());
     }
 
     #[test]
@@ -1229,31 +1267,32 @@ mod tests {
         // Origins carry `(server, push position)`, so the merged order
         // reads off directly. Server 0 pushes two misses at t = 2;
         // server 1 ties both at t = 2; server 2 is unsorted, as a faulted
-        // run's retries leave it; server 3 is empty.
-        let shard = |server: u32, times: &[f64]| ServerCell {
-            misses: times
+        // run's retries leave it; server 3 is empty. The buffers follow
+        // the round-robin layout of two worker threads: worker 0 holds
+        // servers 0 and 2, worker 1 servers 1 and 3.
+        let worker = |shards: [(u32, &[f64]); 2]| WorkerScratch {
+            misses: shards
                 .iter()
-                .enumerate()
-                .map(|(i, &time)| MissArrival {
-                    time,
-                    origin: (server, i as u32),
-                    key: NO_KEY,
+                .flat_map(|&(server, times)| {
+                    times.iter().enumerate().map(move |(i, &time)| MissArrival {
+                        time,
+                        origin: (server, i as u32),
+                        key: NO_KEY,
+                    })
                 })
                 .collect(),
-            ..ServerCell::default()
+            ..WorkerScratch::default()
         };
-        let cells = [
-            shard(0, &[1.0, 2.0, 2.0, 4.0]),
-            shard(1, &[2.0, 3.0]),
-            shard(2, &[3.0, 0.5, 2.0, 1.0]),
-            shard(3, &[]),
+        let workers = [
+            worker([(0, &[1.0, 2.0, 2.0, 4.0]), (2, &[3.0, 0.5, 2.0, 1.0])]),
+            worker([(1, &[2.0, 3.0]), (3, &[])]),
         ];
         let mut merged = vec![MissArrival {
             time: 9.0,
             origin: (9, 9),
             key: 9,
         }];
-        merge_misses(&cells, &mut merged);
+        merge_misses(&workers, &mut merged);
         let order: Vec<(u32, u32)> = merged.iter().map(|m| m.origin).collect();
         assert_eq!(
             order,
@@ -1271,9 +1310,9 @@ mod tests {
             ]
         );
         // The `(time, server, push order)` key, spelled out.
-        let mut keyed: Vec<(f64, u32, u32)> = cells
+        let mut keyed: Vec<(f64, u32, u32)> = workers
             .iter()
-            .flat_map(|c| c.misses.iter().map(|m| (m.time, m.origin.0, m.origin.1)))
+            .flat_map(|w| w.misses.iter().map(|m| (m.time, m.origin.0, m.origin.1)))
             .collect();
         keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         let want: Vec<(u32, u32)> = keyed.iter().map(|&(_, j, i)| (j, i)).collect();

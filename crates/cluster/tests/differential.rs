@@ -106,6 +106,8 @@ struct Fingerprint {
     /// trip also counts as a dispatch: the count a coalescing relay
     /// reports when no two same-key fetches overlap.
     summaries: Vec<ServerSummary>,
+    /// The pooled sketch of per-key server latency.
+    sketch: QuantileSketch,
     db: StreamingStats,
     db_sketch: QuantileSketch,
     miss_ratio: u64,
@@ -128,11 +130,12 @@ impl Fingerprint {
             keys: out.total_keys(),
             records: out.has_records().then(|| fnv1a_records(out)),
             summaries,
+            sketch: out.pooled_latency_sketch().clone(),
             db: *out.db_latency_stats(),
             db_sketch: out.db_latency_sketch().clone(),
             miss_ratio: out.miss_ratio().to_bits(),
             sketch_ets150: if out.has_records() {
-                pooled_sketch_ets150(out.summaries())
+                sketch_ets150(out.pooled_latency_sketch())
             } else {
                 out.expected_server_latency(150).to_bits()
             },
@@ -140,12 +143,8 @@ impl Fingerprint {
     }
 }
 
-fn pooled_sketch_ets150(summaries: &[ServerSummary]) -> u64 {
-    let mut pooled = QuantileSketch::new();
-    for s in summaries {
-        pooled.merge(&s.sketch);
-    }
-    pooled.quantile(max_order_quantile(150)).to_bits()
+fn sketch_ets150(sketch: &QuantileSketch) -> u64 {
+    sketch.quantile(max_order_quantile(150)).to_bits()
 }
 
 /// Holds the SIMD dispatch forced off for one run at a time; runs in
@@ -248,6 +247,7 @@ fn materialized(cfg: &SimConfig) -> Fingerprint {
     let q = params.concurrency();
     let mut columns: Vec<Vec<(f32, f32)>> = Vec::new();
     let mut summaries = Vec::new();
+    let mut sketch = QuantileSketch::new();
     let mut misses = Vec::new();
     for (j, &p) in params
         .load()
@@ -276,7 +276,6 @@ fn materialized(cfg: &SimConfig) -> Fingerprint {
             &mut stream_rng(cfg.seed, 1000 + j as u64),
         );
         let mut latency = StreamingStats::new();
-        let mut sketch = QuantileSketch::new();
         let mut cols = Vec::new();
         for (idx, r) in records.iter().enumerate() {
             if r.missed {
@@ -292,7 +291,6 @@ fn materialized(cfg: &SimConfig) -> Fingerprint {
         }
         summaries.push(ServerSummary {
             latency,
-            sketch,
             degraded_latency: StreamingStats::new(),
             healthy_latency: latency,
             counters: stats.counters,
@@ -325,8 +323,9 @@ fn materialized(cfg: &SimConfig) -> Fingerprint {
     Fingerprint {
         keys,
         records: Some(fnv1a_columns(columns.iter().map(|c| c.iter().copied()))),
-        sketch_ets150: pooled_sketch_ets150(&summaries),
+        sketch_ets150: sketch_ets150(&sketch),
         summaries,
+        sketch,
         db,
         db_sketch,
         miss_ratio: (missed as f64 / keys as f64).to_bits(),

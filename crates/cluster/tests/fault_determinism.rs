@@ -152,6 +152,7 @@ fn faulty_run_is_bit_identical_across_thread_counts() {
         }
         // Streaming summaries bit-identical, resilience included.
         assert_eq!(seq.summaries(), par.summaries());
+        assert_eq!(seq.pooled_latency_sketch(), par.pooled_latency_sketch());
         assert_eq!(seq.db_latency_stats(), par.db_latency_stats());
         assert_eq!(seq.db_latency_sketch(), par.db_latency_sketch());
         // And the rendered CSV agrees byte-for-byte.

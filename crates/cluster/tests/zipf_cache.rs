@@ -80,6 +80,7 @@ fn sweep_builds_alias_table_once_per_configuration() {
     ClusterSim::run_with(&cache_cfg(150_000, 1.05, 41), &mut scratch).unwrap();
     let b = ClusterSim::run_with(&cache_cfg(150_000, 1.05, 42), &mut scratch).unwrap();
     assert_eq!(a.summaries(), b.summaries());
+    assert_eq!(a.pooled_latency_sketch(), b.pooled_latency_sketch());
     assert_eq!(a.miss_ratio().to_bits(), b.miss_ratio().to_bits());
     assert_eq!(a.total_keys(), b.total_keys());
 }

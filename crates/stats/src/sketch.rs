@@ -69,10 +69,9 @@ fn ceil_clamp(raw: f64) -> i32 {
 /// `push` is an array increment with no allocation or pointer chasing
 /// once the latency range has been seen. The vector grows exactly to
 /// each new minimum or maximum bin, so its first and last counters are
-/// always nonzero. A new minimum shifts every counter up; on a short
-/// stream (one simulated server's keys) that can happen on many of the
-/// first pushes, but timing the per-server sketch stage on the M=10k
-/// cluster showed no gain from growing the front with headroom.
+/// always nonzero. A new minimum shifts every counter up, which happens
+/// only while the stream's range is still being discovered: early in a
+/// stream, and rarely after.
 ///
 /// Equality ([`PartialEq`]) compares the *logical* contents (occupied
 /// bins and their counts), not the backing storage, so two sketches
@@ -253,13 +252,6 @@ impl QuantileSketch {
             self.bins.resize((idx - self.base) as usize + 1, 0);
         }
         &mut self.bins[(idx - self.base) as usize]
-    }
-
-    /// Releases the spare capacity of the backing array, which then
-    /// holds exactly the occupied bins. Call it on sketches that are kept
-    /// after their stream ends.
-    pub fn shrink_to_fit(&mut self) {
-        self.bins.shrink_to_fit();
     }
 
     /// Folds another sketch into this one by counter addition.
@@ -702,39 +694,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shrink_to_fit_keeps_exactly_the_occupied_span() {
-        let mut s = QuantileSketch::new();
-        for i in (0..300).rev() {
-            s.push(1e-5 * 1.03f64.powi(i));
-        }
-        s.push(0.0);
-        s.bins.reserve(100);
-        let before = s.clone();
-        s.shrink_to_fit();
-        assert_eq!(s.bins.len(), occupied_span(&s));
-        assert_eq!(s.bins.capacity(), occupied_span(&s));
-        assert_eq!(s, before);
-        assert_eq!(s.bin_count(), before.bin_count());
-        for p in [0.0, 0.2, 0.5, 0.99, 1.0] {
-            assert_eq!(s.quantile(p).to_bits(), before.quantile(p).to_bits());
-        }
-        // A trimmed sketch keeps growing and merging as before.
-        s.push(1e-9);
-        let mut grown = before;
-        grown.push(1e-9);
-        assert_eq!(s, grown);
-        // Underflow-only and empty sketches trim to no bins.
-        let mut zeros = QuantileSketch::new();
-        zeros.push(0.0);
-        zeros.shrink_to_fit();
-        assert_eq!(zeros.bins.capacity(), 0);
-        assert_eq!(zeros.quantile(0.5), 0.0);
-        let mut empty = QuantileSketch::new();
-        empty.shrink_to_fit();
-        assert_eq!(empty, QuantileSketch::new());
     }
 
     #[test]

@@ -200,6 +200,7 @@ fn coalescing_with_faults_conserves_and_is_thread_invariant() {
     // coalesce ledgers, and record streams are bit-identical.
     assert_eq!(a.total_keys(), b.total_keys());
     assert_eq!(a.resilience(), b.resilience());
+    assert_eq!(a.pooled_latency_sketch(), b.pooled_latency_sketch());
     assert_eq!(a.coalesce(), b.coalesce());
     for (sa, sb) in a.summaries().iter().zip(b.summaries()) {
         assert_eq!(sa.coalesce, sb.coalesce);
@@ -268,6 +269,7 @@ fn conservation_holds_on_four_threads_and_matches_one() {
     // bit-identical at any worker count.
     assert_eq!(a.total_keys(), b.total_keys());
     assert_eq!(a.resilience(), b.resilience());
+    assert_eq!(a.pooled_latency_sketch(), b.pooled_latency_sketch());
     for (sa, sb) in a.summaries().iter().zip(b.summaries()) {
         assert_eq!(sa.counters.jobs, sb.counters.jobs);
         assert_eq!(sa.counters.misses, sb.counters.misses);
