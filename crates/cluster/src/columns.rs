@@ -10,6 +10,8 @@
 
 /// Column-major per-key outcomes of one server: `s[i]` is key `i`'s
 /// server latency, `d[i]` its database latency (`0` for cache hits).
+/// Whether a miss was a delayed hit is not kept per key:
+/// [`crate::ServerSummary::coalesce`] counts delayed hits per server.
 ///
 /// # Examples
 ///
@@ -27,11 +29,6 @@
 pub struct KeyColumns {
     s: Vec<f32>,
     d: Vec<f32>,
-    /// Delayed-hit flags, lazily allocated: stays empty (not
-    /// `len()`-sized) until the coalescing relay marks the first delayed
-    /// hit, so runs that never coalesce compare equal to columns
-    /// produced before the lane existed.
-    delayed: Vec<bool>,
 }
 
 impl KeyColumns {
@@ -57,7 +54,6 @@ impl KeyColumns {
     pub fn clear(&mut self) {
         self.s.clear();
         self.d.clear();
-        self.delayed.clear();
     }
 
     /// Appends a key with server latency `s` and no db latency yet.
@@ -116,36 +112,6 @@ impl KeyColumns {
         self.d[i] = d;
     }
 
-    /// Marks key `i` as a delayed hit (its db latency is the residual of
-    /// an outstanding fetch rather than a dispatched trip). Allocates the
-    /// flag lane on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of bounds.
-    #[inline]
-    pub fn set_delayed(&mut self, i: usize) {
-        assert!(i < self.s.len(), "key index {i} out of bounds");
-        if self.delayed.len() < self.s.len() {
-            self.delayed.resize(self.s.len(), false);
-        }
-        self.delayed[i] = true;
-    }
-
-    /// Whether key `i` resolved as a delayed hit. `false` everywhere on
-    /// runs without coalescing.
-    #[inline]
-    #[must_use]
-    pub fn is_delayed(&self, i: usize) -> bool {
-        self.delayed.get(i).copied().unwrap_or(false)
-    }
-
-    /// Number of delayed hits recorded.
-    #[must_use]
-    pub fn delayed_count(&self) -> usize {
-        self.delayed.iter().filter(|&&b| b).count()
-    }
-
     /// Iterates `(s, d)` pairs in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = (f32, f32)> + '_ {
         self.s.iter().zip(&self.d).map(|(&s, &d)| (s, d))
@@ -171,7 +137,6 @@ impl KeyColumns {
         Self {
             s: Vec::with_capacity(cap),
             d: Vec::with_capacity(cap),
-            delayed: Vec::new(),
         }
     }
 }
@@ -227,32 +192,6 @@ mod tests {
         assert_eq!(c.s.capacity(), cap);
         c.push_server(9.0);
         assert_eq!(c.get(0), (9.0, 0.0));
-    }
-
-    #[test]
-    fn delayed_lane_is_lazy() {
-        let mut c = KeyColumns::new();
-        c.push_server(1.0);
-        c.push_server(2.0);
-        // Untouched lane: equal to a never-coalescing peer, all false.
-        let plain = c.clone();
-        assert!(!c.is_delayed(0) && !c.is_delayed(1));
-        assert_eq!(c.delayed_count(), 0);
-        c.set_delayed(1);
-        assert!(!c.is_delayed(0));
-        assert!(c.is_delayed(1));
-        assert_eq!(c.delayed_count(), 1);
-        assert_ne!(c, plain);
-        c.clear();
-        assert_eq!(c.delayed_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn set_delayed_bounds_checked() {
-        let mut c = KeyColumns::new();
-        c.push_server(1.0);
-        c.set_delayed(3);
     }
 
     #[test]

@@ -182,6 +182,15 @@ pub struct SimConfig {
     pub client: ClientPolicy,
 }
 
+/// Enough database shards to keep each below 5% utilization under the
+/// expected aggregate miss rate, `ceil(Λ·r / (0.05·μ_D))`, and at least
+/// one.
+pub(crate) fn auto_db_shards(params: &ModelParams) -> usize {
+    let miss_rate = params.total_key_rate() * params.miss_ratio();
+    let per_shard_target = 0.05 * params.db_service_rate();
+    ((miss_rate / per_shard_target).ceil() as usize).max(1)
+}
+
 impl SimConfig {
     /// A configuration with sensible defaults: 2 s of traffic, 0.2 s
     /// warm-up, fixed-ratio misses, auto-sized database shards.
@@ -317,9 +326,7 @@ impl SimConfig {
         if self.db_shards > 0 {
             return self.db_shards;
         }
-        let miss_rate = self.params.total_key_rate() * self.params.miss_ratio();
-        let per_shard_target = 0.05 * self.params.db_service_rate();
-        ((miss_rate / per_shard_target).ceil() as usize).max(1)
+        auto_db_shards(&self.params)
     }
 
     /// The worker thread count to actually use: the explicit value, else

@@ -97,17 +97,9 @@ pub fn run_db_stage_with(
     rng: &mut dyn RngCore,
     mut sink: impl FnMut((u32, u32), f64),
 ) {
-    assert!(shards > 0, "need at least one database shard");
-    assert!(mu_d > 0.0, "database service rate must be positive");
-    let mut lanes = ShardLanes::new(shards, misses.len());
-    let mut prev_t = f64::NEG_INFINITY;
-    for m in misses {
-        assert!(m.time >= prev_t, "misses must be sorted by time");
-        prev_t = m.time;
-        let svc = -memlat_dist::simd::dln(memlat_dist::open_unit(rng)) / mu_d;
-        let departure = lanes.dispatch(m.time, svc);
-        sink(m.origin, departure - m.time);
-    }
+    db_stage(misses, shards, mu_d, false, rng, |origin, d, _| {
+        sink(origin, d)
+    });
 }
 
 /// Coalescing variant of [`run_db_stage_with`]: per-key outstanding-fetch
@@ -136,6 +128,20 @@ pub fn run_db_stage_coalesced_with(
     shards: usize,
     mu_d: f64,
     rng: &mut dyn RngCore,
+    sink: impl FnMut((u32, u32), f64, bool),
+) {
+    db_stage(misses, shards, mu_d, true, rng, sink);
+}
+
+/// The one database-stage engine behind [`run_db_stage_with`] and
+/// [`run_db_stage_coalesced_with`]: with `coalesce` off no miss parks,
+/// and `sink`'s `delayed` is always `false`.
+pub(crate) fn db_stage(
+    misses: &[MissArrival],
+    shards: usize,
+    mu_d: f64,
+    coalesce: bool,
+    rng: &mut dyn RngCore,
     mut sink: impl FnMut((u32, u32), f64, bool),
 ) {
     assert!(shards > 0, "need at least one database shard");
@@ -149,7 +155,8 @@ pub fn run_db_stage_coalesced_with(
     for m in misses {
         assert!(m.time >= prev_t, "misses must be sorted by time");
         prev_t = m.time;
-        if m.key != NO_KEY {
+        let keyed = coalesce && m.key != NO_KEY;
+        if keyed {
             if let Some(&done_at) = outstanding.get(&m.key) {
                 if done_at > m.time {
                     sink(m.origin, done_at - m.time, true);
@@ -159,7 +166,7 @@ pub fn run_db_stage_coalesced_with(
         }
         let svc = -memlat_dist::simd::dln(memlat_dist::open_unit(rng)) / mu_d;
         let departure = lanes.dispatch(m.time, svc);
-        if m.key != NO_KEY {
+        if keyed {
             outstanding.insert(m.key, departure);
         }
         sink(m.origin, departure - m.time, false);

@@ -18,6 +18,7 @@ use memlat_dist::{Exponential, Multinomial};
 use memlat_stats::{ConfidenceInterval, StreamingStats};
 
 use crate::{
+    config::auto_db_shards,
     database::{run_db_stage, MissArrival},
     SimError,
 };
@@ -163,8 +164,7 @@ pub fn run_e2e(cfg: &E2eConfig) -> Result<E2eOutput, SimError> {
     let shards = if cfg.db_shards > 0 {
         cfg.db_shards
     } else {
-        let miss_rate = params.total_key_rate() * params.miss_ratio();
-        ((miss_rate / (0.05 * params.db_service_rate())).ceil() as usize).max(1)
+        auto_db_shards(params)
     };
     let mut db_rng = stream_rng(cfg.seed, 43);
     let completed = run_db_stage(&misses, shards, params.db_service_rate(), &mut db_rng);
@@ -180,7 +180,6 @@ pub fn run_e2e(cfg: &E2eConfig) -> Result<E2eOutput, SimError> {
     let mut total = StreamingStats::new();
     let mut ts = StreamingStats::new();
     let mut td = StreamingStats::new();
-    let mut total_misses = 0u64;
     for p in &pending {
         debug_assert_eq!(p.outstanding_db, 0);
         if !p.measured {
@@ -190,11 +189,7 @@ pub fn run_e2e(cfg: &E2eConfig) -> Result<E2eOutput, SimError> {
         total.push(p.worst_total_completion - p.arrival + half_net);
         ts.push(p.worst_s);
         td.push(p.worst_d);
-        if p.worst_d > 0.0 {
-            total_misses += 1; // requests with ≥1 miss (reported below as ratio over keys)
-        }
     }
-    let _ = total_misses;
 
     let horizon = clock;
     let utilization: Vec<f64> = stations

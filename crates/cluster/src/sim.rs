@@ -1,15 +1,21 @@
 //! The cluster simulation: M servers → sharded database.
 //!
+//! [`ClusterSim::run_with`] resolves the configuration once into a
+//! private `Plan` and runs Theorem 1's stages over it in order: the
+//! **servers** stage (every GI^X/M/1 queue, `T_S`, each writing its
+//! [`ServerSummary`] in place), the **hedge** stage on hedged runs, the
+//! miss **merge**, and the sharded M/M/1 **database** stage (`T_D`), one
+//! engine with or without miss coalescing.
+//!
 //! The per-server simulations are embarrassingly parallel *by
 //! construction*: server `j` draws every random number from its own
-//! seed-derived stream (`stream_rng(seed, 1000 + j)`), its summary lands
-//! in a server-indexed slot, the worker latency sketches merge by count
-//! addition, and the database stage consumes one miss stream in
-//! `(time, server, push order)` order — one sort by `(time, origin)`
-//! over the per-worker miss buffers. [`ClusterSim::run`] therefore
-//! dispatches servers round-robin across [`SimConfig::threads`] worker
-//! threads and still produces **bit-identical** output to the
-//! sequential path for a fixed seed.
+//! seed-derived stream (`stream_rng(seed, 1000 + j)`), the worker latency
+//! sketches merge by count addition, and the database stage consumes one
+//! miss stream in `(time, server, push order)` order — one sort by
+//! `(time, origin)` over the per-worker miss buffers. The servers stage
+//! therefore dispatches servers round-robin across
+//! [`SimConfig::threads`] worker threads and still produces
+//! **bit-identical** output to the sequential path for a fixed seed.
 //!
 //! The per-key hot path is **streaming and block-batched**: each
 //! server's resolved keys flow from [`simulate_server_streaming_with`]
@@ -18,10 +24,13 @@
 //! or hedging needs them, into reusable [`KeyColumns`] buffers), a
 //! [`SimConfig::effective_block`]-sized lane block at a time on
 //! eligible runs. Under [`Retention::Summary`] without hedging, peak
-//! memory is a fixed-size [`ServerSummary`] per server, one block
+//! memory is one fixed-size [`ServerSummary`] per server, one block
 //! scratch and one sketch per worker thread, and the miss stream (one
-//! entry per missed key). Sweeps can pass one [`SimScratch`] to
+//! entry per missed key). Hedging keeps every server's column plus one
+//! pre-hedge copy of server 0's. Sweeps can pass one [`SimScratch`] to
 //! [`ClusterSim::run_with`] to reuse every buffer across runs.
+
+use std::sync::Arc;
 
 use memlat_des::metrics::{CoalesceCounters, ResilienceCounters, ServerCounters};
 use memlat_des::rng::stream_rng;
@@ -33,7 +42,7 @@ use memlat_workload::{RoutedKeyspace, ZipfPopularity};
 use crate::{
     columns::KeyColumns,
     config::{CacheRouting, MissMode, MissRelay, Retention, SimConfig},
-    database::{run_db_stage_coalesced_with, run_db_stage_with, MissArrival, NO_KEY},
+    database::{db_stage, MissArrival, NO_KEY},
     fault::hedge_outcome,
     miss::RoutedHandle,
     server::{
@@ -102,7 +111,7 @@ struct ServerCell {
     /// `(s, d)` columns in arrival order (db latency filled in later).
     cols: KeyColumns,
     /// Per-record forced/degraded flags, kept only when hedging needs to
-    /// rebuild the summaries after the merge-step min pass.
+    /// rebuild the summaries in the hedge stage.
     flags: Vec<u8>,
 }
 
@@ -238,20 +247,22 @@ pub struct SimScratch {
     /// thread, not per server: at M = 10 000 servers per-server copies
     /// dominated peak memory.
     workers: Vec<WorkerScratch>,
-    /// Pre-hedge per-server latency populations (hedging only).
-    pristine: Vec<Vec<f32>>,
+    /// Server 0's pre-hedge latency column (hedging only): the last
+    /// server's replica, which the hedge stage has already rewritten by
+    /// the time the last server reads it.
+    pristine: Vec<f32>,
     /// The merged miss stream.
     misses: Vec<MissArrival>,
     /// Cached Zipf popularity (alias table) keyed by
     /// `(keyspace, skew bits)`: the O(keyspace) alias build happens once
     /// per scratch per configuration, not once per server per sweep
     /// point.
-    zipf: Option<((u64, u64), std::sync::Arc<ZipfPopularity>)>,
+    zipf: Option<((u64, u64), Arc<ZipfPopularity>)>,
     /// Cached consistent-hash routing table keyed by
     /// `(keyspace, skew bits, servers, vnodes)`: the O(keyspace) ring
     /// walk and conditional-sampler builds happen once per scratch per
     /// cluster configuration.
-    routed: Option<((u64, u64, u64, u64), std::sync::Arc<RoutedKeyspace>)>,
+    routed: Option<((u64, u64, u64, u64), Arc<RoutedKeyspace>)>,
 }
 
 impl SimScratch {
@@ -309,78 +320,123 @@ impl ClusterSim {
     ///
     /// Propagates configuration and model errors.
     pub fn run_with(cfg: &SimConfig, scratch: &mut SimScratch) -> Result<SimOutput, SimError> {
-        cfg.validate()?;
-        let params = &cfg.params;
-        // The DES would happily simulate an overloaded server, but every
-        // stationary estimator downstream would silently depend on the
-        // horizon; refuse, like the analytical model does.
-        let peak = params.peak_utilization()?;
-        if peak >= 1.0 {
-            return Err(SimError::InvalidConfig(format!(
-                "peak server utilization {peak:.3} >= 1: no stationary regime"
-            )));
-        }
-        let mut shares = params.load().shares(params.servers())?;
-        let q = params.concurrency();
-        let servers = shares.len();
-        let threads = cfg.effective_threads().clamp(1, servers.max(1));
-
-        let hedging = cfg.client.hedge.is_some();
-        let keep_records = cfg.retention == Retention::Full;
-        // The per-key columns are needed for the output (Full retention)
-        // and for the hedge pass's replica populations; otherwise the
-        // run is fully streaming and no per-key buffer is touched.
-        let keep_pairs = keep_records || hedging;
-
         let SimScratch {
             cells,
             workers,
             pristine,
-            misses: all_misses,
+            misses,
             zipf,
             routed,
         } = scratch;
+        let plan = Plan::resolve(cfg, zipf, routed)?;
+        let servers = plan.shares.len();
         if cells.len() < servers {
             cells.resize_with(servers, ServerCell::default);
         }
-        if workers.len() < threads {
-            workers.resize_with(threads, WorkerScratch::default);
+        if workers.len() < plan.threads {
+            workers.resize_with(plan.threads, WorkerScratch::default);
         }
-        let workers = &mut workers[..threads];
-        for w in workers.iter_mut() {
-            w.sketch = QuantileSketch::new();
-            w.misses.clear();
-        }
+        let cells = &mut cells[..servers];
+        let workers = &mut workers[..plan.threads];
 
-        // Pre-build (or reuse) the Zipf popularity for cache-backed
-        // runs: the alias-table build is O(keyspace), so a sweep must
-        // not pay it once per server per point.
+        let mut summaries = vec![ServerSummary::empty(); servers];
+        plan.servers_stage(&mut summaries, cells, workers)?;
+        let sketch = match cfg.client.hedge {
+            Some(h) if servers > 1 => {
+                hedge_stage(cfg.seed, h.delay, &mut summaries, cells, pristine)
+            }
+            _ => {
+                let mut sketch = QuantileSketch::new();
+                for w in workers.iter() {
+                    sketch.merge(&w.sketch);
+                }
+                sketch
+            }
+        };
+        // Full retention moves the columns into the output; the scratch
+        // keeps only the (empty) replacement buffers.
+        let mut records = plan.keep_records.then(|| {
+            cells
+                .iter_mut()
+                .map(|cell| std::mem::take(&mut cell.cols))
+                .collect::<Vec<_>>()
+        });
+        merge_misses(workers, misses);
+        let (db_latency, db_sketch) =
+            plan.database_stage(misses, &mut summaries, records.as_deref_mut());
+
+        let total_keys: u64 = summaries.iter().map(|s| s.counters.jobs).sum();
+        // Regular cache misses only: forced misses are accounted
+        // separately (they reach the database but are a fault artifact,
+        // not a cache property).
+        let total_misses: u64 = summaries.iter().map(|s| s.counters.misses).sum();
+        Ok(SimOutput {
+            server_records: records,
+            utilization: summaries.iter().map(|s| s.utilization).collect(),
+            summaries,
+            sketch,
+            db_latency,
+            db_sketch,
+            network: cfg.params.network_latency(),
+            shares: plan.shares,
+            miss_ratio: if total_keys == 0 {
+                0.0
+            } else {
+                total_misses as f64 / total_keys as f64
+            },
+            total_keys,
+        })
+    }
+}
+
+/// A validated run, resolved once: everything the stages of
+/// [`ClusterSim::run_with`] read besides the scratch buffers.
+struct Plan<'a> {
+    cfg: &'a SimConfig,
+    /// The load shares in force: the configured ones, or the ring's under
+    /// consistent-hash routing.
+    shares: Vec<f64>,
+    /// Zipf popularity of cache-backed runs.
+    popularity: Option<Arc<ZipfPopularity>>,
+    /// The routing table under consistent-hash routing.
+    routed: Option<Arc<RoutedKeyspace>>,
+    /// Worker threads, at most one per server.
+    threads: usize,
+    block: usize,
+    /// [`Retention::Full`]: the per-key columns go into the output.
+    keep_records: bool,
+    /// Hedged duplicates: the hedge stage needs every key's column too.
+    hedging: bool,
+}
+
+impl<'a> Plan<'a> {
+    /// Validates `cfg` and resolves its shares, popularity and routing,
+    /// reusing the scratch's cached builds where the key matches.
+    fn resolve(
+        cfg: &'a SimConfig,
+        zipf: &mut Option<((u64, u64), Arc<ZipfPopularity>)>,
+        routed: &mut Option<((u64, u64, u64, u64), Arc<RoutedKeyspace>)>,
+    ) -> Result<Self, SimError> {
+        cfg.validate()?;
+        let params = &cfg.params;
+        let mut shares = params.load().shares(params.servers())?;
+        let servers = shares.len();
+        // The alias-table build is O(keyspace): a sweep must not pay it
+        // once per server per point.
         let popularity = match &cfg.miss_mode {
             MissMode::FixedRatio => None,
             MissMode::CacheBacked(cc) => {
-                let key = (cc.keyspace, cc.skew.to_bits());
-                let arc = match zipf {
-                    Some((k, arc)) if *k == key => std::sync::Arc::clone(arc),
-                    _ => {
-                        let arc = std::sync::Arc::new(
-                            ZipfPopularity::new(cc.keyspace, cc.skew)
-                                .map_err(|e| SimError::InvalidConfig(e.to_string()))?,
-                        );
-                        *zipf = Some((key, std::sync::Arc::clone(&arc)));
-                        arc
-                    }
-                };
-                Some(arc)
+                Some(cached(zipf, (cc.keyspace, cc.skew.to_bits()), || {
+                    ZipfPopularity::new(cc.keyspace, cc.skew)
+                })?)
             }
         };
-
-        // Cluster-wide consistent hashing: build (or reuse) the routing
-        // table and replace the configured load shares with the
-        // ring-induced ones — each server receives exactly the
-        // popularity mass of the keys it owns, so the unbalanced `{p_j}`
-        // *emerges* from the ring instead of being postulated.
-        let routed_keyspace = match &cfg.miss_mode {
-            MissMode::CacheBacked(cc) => match cc.routing {
+        // Cluster-wide consistent hashing replaces the configured load
+        // shares with the ring-induced ones: each server receives exactly
+        // the popularity mass of the keys it owns, so the unbalanced
+        // `{p_j}` *emerges* from the ring instead of being postulated.
+        let routed = match (&cfg.miss_mode, &popularity) {
+            (MissMode::CacheBacked(cc), Some(pop)) => match cc.routing {
                 CacheRouting::Independent => None,
                 CacheRouting::ConsistentHash { vnodes } => {
                     if !matches!(params.load(), memlat_model::LoadDistribution::Balanced) {
@@ -396,241 +452,204 @@ impl ClusterSim {
                         servers as u64,
                         vnodes as u64,
                     );
-                    let pop = popularity
-                        .as_ref()
-                        .expect("cache-backed mode builds a popularity");
-                    let arc = match routed {
-                        Some((k, arc)) if *k == key => std::sync::Arc::clone(arc),
-                        _ => {
-                            let arc = std::sync::Arc::new(
-                                RoutedKeyspace::new(pop, servers, vnodes)
-                                    .map_err(|e| SimError::InvalidConfig(e.to_string()))?,
-                            );
-                            *routed = Some((key, std::sync::Arc::clone(&arc)));
-                            arc
-                        }
-                    };
+                    let arc = cached(routed, key, || RoutedKeyspace::new(pop, servers, vnodes))?;
                     shares = arc.shares().to_vec();
-                    // The configured peak check used balanced shares;
-                    // re-check against the ring's hottest server.
-                    let max_share = shares.iter().fold(0.0_f64, |a, &b| a.max(b));
-                    let peak = max_share * params.total_key_rate() / params.service_rate();
-                    if peak >= 1.0 {
-                        return Err(SimError::InvalidConfig(format!(
-                            "ring-induced peak server utilization {peak:.3} >= 1: \
-                             no stationary regime"
-                        )));
-                    }
                     Some(arc)
                 }
             },
-            MissMode::FixedRatio => None,
+            _ => None,
         };
-
-        // One worker per server; identical code on the sequential and
-        // parallel paths, so thread count cannot change the output.
-        let block = cfg.effective_block();
-        let worker = |j: usize,
-                      cell: &mut ServerCell,
-                      ws: &mut WorkerScratch|
-         -> Result<ServerSummary, SimError> {
-            let ServerCell { cols, flags } = cell;
-            cols.clear();
-            flags.clear();
-            let p = shares[j];
-            if p <= 0.0 {
-                return Ok(ServerSummary::empty());
-            }
-            let lam_j = p * params.total_key_rate();
-            let gaps = params
-                .arrival()
-                .gap_law((1.0 - q) * lam_j)
-                .map_err(SimError::Model)?;
-            let mut rng = stream_rng(cfg.seed, 1000 + j as u64);
-            let faults = cfg.fault_plan.for_server(j);
-            // With nothing scheduled and no client timeout, no key can be
-            // forced or degraded: the healthy split would receive exactly
-            // the pooled stream, so skip the duplicate Welford update per
-            // key and copy the accumulator once after the run.
-            let plain_run = faults.is_empty() && cfg.client.timeout.is_none();
-            let mut sink = WorkerSink {
-                j: j as u32,
-                idx: 0,
-                plain_run,
-                keep_pairs,
-                hedging,
-                misses: &mut ws.misses,
-                sketch: &mut ws.sketch,
-                cols,
-                flags,
-                latency: StreamingStats::new(),
-                degraded_latency: StreamingStats::new(),
-                healthy_latency: StreamingStats::new(),
-            };
-            let stats = simulate_server_streaming_with(
-                ServerSimParams {
-                    interarrival: gaps,
-                    concurrency: q,
-                    service_rate: params.service_rate(),
-                    miss_ratio: params.miss_ratio(),
-                    miss_mode: &cfg.miss_mode,
-                    popularity: popularity.clone(),
-                    routed: routed_keyspace.as_ref().map(|ks| RoutedHandle {
-                        keyspace: std::sync::Arc::clone(ks),
-                        server: j,
-                    }),
-                    warmup: cfg.warmup,
-                    duration: cfg.duration,
-                    faults,
-                    client: cfg.client,
-                    block,
-                },
-                &mut rng,
-                &mut ws.block,
-                &mut sink,
-            )
-            .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-            let WorkerSink {
-                latency,
-                degraded_latency,
-                mut healthy_latency,
-                ..
-            } = sink;
-            if plain_run {
-                healthy_latency = latency;
-            }
-            Ok(ServerSummary {
-                latency,
-                degraded_latency,
-                healthy_latency,
-                counters: stats.counters,
-                resilience: stats.resilience,
-                // Filled in by the coalescing db stage after merge.
-                coalesce: CoalesceCounters::default(),
-                utilization: stats.utilization,
-                cached_items: stats.cached_items,
-            })
-        };
-
-        let mut summaries = dispatch(servers, &worker, cells, workers)?;
-        let mut sketch = QuantileSketch::new();
-        for w in workers.iter() {
-            sketch.merge(&w.sketch);
+        // The DES would happily simulate an overloaded server, but every
+        // stationary estimator downstream would silently depend on the
+        // horizon; refuse, like the analytical model does. The float ops
+        // are those of `ModelParams::peak_utilization`.
+        let peak = shares.iter().copied().fold(0.0, f64::max) * params.total_key_rate()
+            / params.service_rate();
+        if peak >= 1.0 {
+            let source = routed.as_ref().map_or("", |_| "ring-induced ");
+            return Err(SimError::InvalidConfig(format!(
+                "{source}peak server utilization {peak:.3} >= 1: no stationary regime"
+            )));
         }
+        Ok(Self {
+            cfg,
+            shares,
+            popularity,
+            routed,
+            threads: cfg.effective_threads().clamp(1, servers.max(1)),
+            block: cfg.effective_block(),
+            keep_records: cfg.retention == Retention::Full,
+            hedging: cfg.client.hedge.is_some(),
+        })
+    }
 
-        // Hedged duplicates: a deterministic merge-step pass, in server
-        // order, so the thread count still cannot change the output. A
-        // key whose primary latency exceeded the hedge delay draws a
-        // duplicate attempt from the replica server's *pristine* latency
-        // population (sampled before any hedge updates) and keeps
-        // `min(primary, delay + replica)`.
-        if let Some(h) = cfg.client.hedge {
-            let m = servers;
-            if m > 1 {
-                if pristine.len() < m {
-                    pristine.resize_with(m, Vec::new);
-                }
-                for (pop, cell) in pristine.iter_mut().zip(cells.iter()).take(m) {
-                    pop.clear();
-                    pop.extend_from_slice(cell.cols.s());
-                }
-                for (j, (summary, cell)) in summaries.iter_mut().zip(cells.iter_mut()).enumerate() {
-                    let replica = &pristine[(j + 1) % m];
-                    if replica.is_empty() {
-                        continue;
-                    }
-                    let ServerCell { cols, flags } = cell;
-                    let mut rng = stream_rng(cfg.seed, 3_000_000 + j as u64);
-                    let mut latency = StreamingStats::new();
-                    let mut degraded_latency = StreamingStats::new();
-                    let mut healthy_latency = StreamingStats::new();
-                    for (i, slot) in cols.s_mut().iter_mut().enumerate() {
-                        let forced = flags[i] & FLAG_FORCED != 0;
-                        let mut s = f64::from(*slot);
-                        if !forced && s > h.delay {
-                            summary.resilience.hedges_sent += 1;
-                            let k = (rng.next_u64() % replica.len() as u64) as usize;
-                            let (eff, _) = hedge_outcome(s, h.delay, f64::from(replica[k]));
-                            // A win must be observable at the f32
-                            // precision records are stored at, so the
-                            // counter and the records never disagree.
-                            let eff32 = eff as f32;
-                            if eff32 < *slot {
-                                summary.resilience.hedges_won += 1;
-                                *slot = eff32;
-                                s = f64::from(eff32);
+    /// The servers stage: simulates every server into its slot of
+    /// `summaries`, on `workers.len()` scoped threads. Servers are
+    /// interleaved round-robin so a hot server does not serialize a
+    /// whole chunk: thread `t` gets server `j ≡ t (mod threads)`'s cell
+    /// and summary, both indexed by server. Each thread stops at its
+    /// first failing server; the lowest failing server's error wins.
+    fn servers_stage(
+        &self,
+        summaries: &mut [ServerSummary],
+        cells: &mut [ServerCell],
+        workers: &mut [WorkerScratch],
+    ) -> Result<(), SimError> {
+        for w in workers.iter_mut() {
+            w.sketch = QuantileSketch::new();
+            w.misses.clear();
+        }
+        let threads = workers.len();
+        if threads <= 1 {
+            let ws = &mut workers[0];
+            for (j, (summary, cell)) in summaries.iter_mut().zip(cells).enumerate() {
+                *summary = self.simulate_server(j, cell, ws)?;
+            }
+            return Ok(());
+        }
+        let mut lanes: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+        for (j, (summary, cell)) in summaries.iter_mut().zip(cells).enumerate() {
+            lanes[j % threads].push((j, summary, cell));
+        }
+        let failed = std::thread::scope(|scope| {
+            let handles: Vec<_> = lanes
+                .into_iter()
+                .zip(workers.iter_mut())
+                .map(|(lane, ws)| {
+                    scope.spawn(move || {
+                        for (j, summary, cell) in lane {
+                            match self.simulate_server(j, cell, ws) {
+                                Ok(s) => *summary = s,
+                                Err(e) => return Some((j, e)),
                             }
                         }
-                        latency.push(s);
-                        if forced {
-                        } else if flags[i] & FLAG_DEGRADED != 0 {
-                            degraded_latency.push(s);
-                        } else {
-                            healthy_latency.push(s);
-                        }
-                    }
-                    // The summaries must describe the effective (post-
-                    // hedge) latencies; rebuild them from the records.
-                    summary.latency = latency;
-                    summary.degraded_latency = degraded_latency;
-                    summary.healthy_latency = healthy_latency;
-                }
-                // So must the pooled sketch: rebuild it from every
-                // server's records, hedged or not.
-                sketch = QuantileSketch::new();
-                for cell in &cells[..m] {
-                    sketch.extend(cell.cols.s().iter().map(|&s| f64::from(s)));
-                }
-            }
-        }
+                        None
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .min_by_key(|&(j, _)| j)
+        });
+        failed.map_or(Ok(()), |(_, e)| Err(e))
+    }
 
-        // Merge in server order — the only order-sensitive step, and it
-        // is fixed regardless of which thread finished first.
-        let mut server_records: Vec<KeyColumns> = Vec::new();
-        let mut utilization = Vec::with_capacity(summaries.len());
-        let mut total_keys = 0u64;
-        let mut total_misses = 0u64;
-        for (summary, cell) in summaries.iter().zip(cells.iter_mut()) {
-            total_keys += summary.counters.jobs;
-            // Regular cache misses only: forced misses are accounted
-            // separately (they reach the database but are a fault
-            // artifact, not a cache property).
-            total_misses += summary.counters.misses;
-            utilization.push(summary.utilization);
-            if keep_records {
-                // Full retention moves the columns into the output; the
-                // scratch keeps only the (empty) replacement buffers.
-                server_records.push(std::mem::take(&mut cell.cols));
-            }
+    /// Server `j`'s run on one worker's scratch; identical code on the
+    /// sequential and parallel paths, so thread count cannot change the
+    /// output.
+    fn simulate_server(
+        &self,
+        j: usize,
+        cell: &mut ServerCell,
+        ws: &mut WorkerScratch,
+    ) -> Result<ServerSummary, SimError> {
+        let ServerCell { cols, flags } = cell;
+        cols.clear();
+        flags.clear();
+        let p = self.shares[j];
+        if p <= 0.0 {
+            return Ok(ServerSummary::empty());
         }
+        let (cfg, params) = (self.cfg, &self.cfg.params);
+        let q = params.concurrency();
+        let lam_j = p * params.total_key_rate();
+        let gaps = params
+            .arrival()
+            .gap_law((1.0 - q) * lam_j)
+            .map_err(SimError::Model)?;
+        let mut rng = stream_rng(cfg.seed, 1000 + j as u64);
+        let faults = cfg.fault_plan.for_server(j);
+        // With nothing scheduled and no client timeout, no key can be
+        // forced or degraded: the healthy split would receive exactly
+        // the pooled stream, so skip the duplicate Welford update per
+        // key and copy the accumulator once after the run.
+        let plain_run = faults.is_empty() && cfg.client.timeout.is_none();
+        let mut sink = WorkerSink {
+            j: j as u32,
+            idx: 0,
+            plain_run,
+            // The per-key columns are needed for the output (Full
+            // retention) and for the hedge stage's replica populations;
+            // otherwise the run is fully streaming.
+            keep_pairs: self.keep_records || self.hedging,
+            hedging: self.hedging,
+            misses: &mut ws.misses,
+            sketch: &mut ws.sketch,
+            cols,
+            flags,
+            latency: StreamingStats::new(),
+            degraded_latency: StreamingStats::new(),
+            healthy_latency: StreamingStats::new(),
+        };
+        let stats = simulate_server_streaming_with(
+            ServerSimParams {
+                interarrival: gaps,
+                concurrency: q,
+                service_rate: params.service_rate(),
+                miss_ratio: params.miss_ratio(),
+                miss_mode: &cfg.miss_mode,
+                popularity: self.popularity.clone(),
+                routed: self.routed.as_ref().map(|ks| RoutedHandle {
+                    keyspace: Arc::clone(ks),
+                    server: j,
+                }),
+                warmup: cfg.warmup,
+                duration: cfg.duration,
+                faults,
+                client: cfg.client,
+                block: self.block,
+            },
+            &mut rng,
+            &mut ws.block,
+            &mut sink,
+        )
+        .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
+        let WorkerSink {
+            latency,
+            degraded_latency,
+            mut healthy_latency,
+            ..
+        } = sink;
+        if plain_run {
+            healthy_latency = latency;
+        }
+        Ok(ServerSummary {
+            latency,
+            degraded_latency,
+            healthy_latency,
+            counters: stats.counters,
+            resilience: stats.resilience,
+            // Filled in by the coalescing database stage.
+            coalesce: CoalesceCounters::default(),
+            utilization: stats.utilization,
+            cached_items: stats.cached_items,
+        })
+    }
 
-        merge_misses(workers, all_misses);
-        let shards = cfg.effective_db_shards();
-        let mut db_rng = stream_rng(cfg.seed, 2_000_000);
+    /// The database stage over the merged miss stream: pools the db
+    /// latencies, counts coalescing outcomes per origin server and, under
+    /// Full retention, writes each latency back to its record.
+    fn database_stage(
+        &self,
+        misses: &[MissArrival],
+        summaries: &mut [ServerSummary],
+        mut records: Option<&mut [KeyColumns]>,
+    ) -> (StreamingStats, QuantileSketch) {
+        let cfg = self.cfg;
+        let coalesce = cfg.miss_relay == MissRelay::Coalesced;
         let mut db_latency = StreamingStats::new();
         let mut db_sketch = QuantileSketch::new();
-        match cfg.miss_relay {
-            MissRelay::Independent => run_db_stage_with(
-                all_misses,
-                shards,
-                params.db_service_rate(),
-                &mut db_rng,
-                |(server, idx), d| {
-                    db_latency.push(d);
-                    db_sketch.push(d);
-                    if keep_records {
-                        server_records[server as usize].set_db(idx as usize, d as f32);
-                    }
-                },
-            ),
-            MissRelay::Coalesced => run_db_stage_coalesced_with(
-                all_misses,
-                shards,
-                params.db_service_rate(),
-                &mut db_rng,
-                |(server, idx), d, delayed| {
-                    db_latency.push(d);
-                    db_sketch.push(d);
+        db_stage(
+            misses,
+            cfg.effective_db_shards(),
+            cfg.params.db_service_rate(),
+            coalesce,
+            &mut stream_rng(cfg.seed, 2_000_000),
+            |(server, idx), d, delayed| {
+                db_latency.push(d);
+                db_sketch.push(d);
+                if coalesce {
                     let c = &mut summaries[server as usize].coalesce;
                     if delayed {
                         c.delayed_hits += 1;
@@ -638,34 +657,95 @@ impl ClusterSim {
                     } else {
                         c.dispatched += 1;
                     }
-                    if keep_records {
-                        let cols = &mut server_records[server as usize];
-                        cols.set_db(idx as usize, d as f32);
-                        if delayed {
-                            cols.set_delayed(idx as usize);
-                        }
-                    }
-                },
-            ),
-        }
-
-        Ok(SimOutput {
-            server_records: keep_records.then_some(server_records),
-            summaries,
-            sketch,
-            db_latency,
-            db_sketch,
-            shares,
-            network: params.network_latency(),
-            utilization,
-            miss_ratio: if total_keys == 0 {
-                0.0
-            } else {
-                total_misses as f64 / total_keys as f64
+                }
+                if let Some(records) = records.as_deref_mut() {
+                    records[server as usize].set_db(idx as usize, d as f32);
+                }
             },
-            total_keys,
-        })
+        );
+        (db_latency, db_sketch)
     }
+}
+
+/// The `Arc` cached in `slot` under `key`, or a fresh `build()` that
+/// replaces it.
+fn cached<K: Copy + PartialEq, T, E: std::fmt::Display>(
+    slot: &mut Option<(K, Arc<T>)>,
+    key: K,
+    build: impl FnOnce() -> Result<T, E>,
+) -> Result<Arc<T>, SimError> {
+    if let Some((k, arc)) = slot {
+        if *k == key {
+            return Ok(Arc::clone(arc));
+        }
+    }
+    let arc = Arc::new(build().map_err(|e| SimError::InvalidConfig(e.to_string()))?);
+    *slot = Some((key, Arc::clone(&arc)));
+    Ok(arc)
+}
+
+/// The hedge stage: a deterministic pass in server order after the
+/// servers stage, so the thread count still cannot change the output. A
+/// key whose primary latency exceeded `delay` draws a duplicate attempt
+/// from the replica server `(j + 1) mod M`'s *pre-hedge* latency
+/// population and keeps `min(primary, delay + replica)`. Returns the
+/// pooled sketch, rebuilt from every server's post-hedge records.
+fn hedge_stage(
+    seed: u64,
+    delay: f64,
+    summaries: &mut [ServerSummary],
+    cells: &mut [ServerCell],
+    pristine: &mut Vec<f32>,
+) -> QuantileSketch {
+    // Server j's replica j + 1 is still pre-hedge when j reads it; only
+    // the last server's replica, server 0, has been hedged by then.
+    pristine.clear();
+    pristine.extend_from_slice(cells[0].cols.s());
+    for (j, summary) in summaries.iter_mut().enumerate() {
+        let (done, rest) = cells.split_at_mut(j + 1);
+        let replica = rest.first().map_or(pristine.as_slice(), |c| c.cols.s());
+        if replica.is_empty() {
+            continue;
+        }
+        let mut rng = stream_rng(seed, 3_000_000 + j as u64);
+        let ServerCell { cols, flags } = &mut done[j];
+        let mut latency = StreamingStats::new();
+        let mut degraded_latency = StreamingStats::new();
+        let mut healthy_latency = StreamingStats::new();
+        for (slot, &flag) in cols.s_mut().iter_mut().zip(flags.iter()) {
+            let forced = flag & FLAG_FORCED != 0;
+            let mut s = f64::from(*slot);
+            if !forced && s > delay {
+                summary.resilience.hedges_sent += 1;
+                let k = (rng.next_u64() % replica.len() as u64) as usize;
+                let (eff, _) = hedge_outcome(s, delay, f64::from(replica[k]));
+                // A win must be observable at the f32 precision records are
+                // stored at, so the counter and the records never disagree.
+                let eff32 = eff as f32;
+                if eff32 < *slot {
+                    summary.resilience.hedges_won += 1;
+                    *slot = eff32;
+                    s = f64::from(eff32);
+                }
+            }
+            latency.push(s);
+            if forced {
+            } else if flag & FLAG_DEGRADED != 0 {
+                degraded_latency.push(s);
+            } else {
+                healthy_latency.push(s);
+            }
+        }
+        // The summaries describe the effective (post-hedge) latencies.
+        summary.latency = latency;
+        summary.degraded_latency = degraded_latency;
+        summary.healthy_latency = healthy_latency;
+    }
+    let mut sketch = QuantileSketch::new();
+    for cell in cells.iter() {
+        sketch.extend(cell.cols.s().iter().map(|&s| f64::from(s)));
+    }
+    sketch
 }
 
 /// Builds the database stage's one miss stream from the per-worker
@@ -687,46 +767,6 @@ fn merge_misses(workers: &[WorkerScratch], all_misses: &mut Vec<MissArrival>) {
             .total_cmp(&b.time)
             .then_with(|| a.origin.cmp(&b.origin))
     });
-}
-
-/// Runs `worker(j, cell, worker_scratch)` for every server on
-/// `workers.len()` scoped threads, returning summaries in server order.
-/// Servers are interleaved round-robin across threads so a hot server
-/// does not serialize a whole chunk: thread `t` gets server
-/// `j ≡ t (mod threads)`'s cell and summary slot, both indexed by server.
-fn dispatch<F>(
-    servers: usize,
-    worker: &F,
-    cells: &mut [ServerCell],
-    workers: &mut [WorkerScratch],
-) -> Result<Vec<ServerSummary>, SimError>
-where
-    F: Fn(usize, &mut ServerCell, &mut WorkerScratch) -> Result<ServerSummary, SimError> + Sync,
-{
-    let threads = workers.len();
-    let mut slots: Vec<Result<ServerSummary, SimError>> = Vec::new();
-    slots.resize_with(servers, || Ok(ServerSummary::empty()));
-    if threads <= 1 {
-        let ws = &mut workers[0];
-        for (j, (slot, cell)) in slots.iter_mut().zip(cells.iter_mut()).enumerate() {
-            *slot = worker(j, cell, ws);
-        }
-    } else {
-        let mut lanes: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-        for (j, (slot, cell)) in slots.iter_mut().zip(cells.iter_mut()).enumerate() {
-            lanes[j % threads].push((j, slot, cell));
-        }
-        std::thread::scope(|scope| {
-            for (lane, ws) in lanes.into_iter().zip(workers.iter_mut()) {
-                scope.spawn(move || {
-                    for (j, slot, cell) in lane {
-                        *slot = worker(j, cell, ws);
-                    }
-                });
-            }
-        });
-    }
-    slots.into_iter().collect()
 }
 
 impl SimOutput {

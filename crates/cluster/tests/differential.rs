@@ -63,6 +63,14 @@ const GOLDEN_FIXED_FNV: u64 = 0x3af6_61dd_e724_d184;
 /// scalar attempt path.
 const GOLDEN_LRU_FNV: u64 = 0xe3a7_b621_2d8f_a39a;
 
+/// [`fnv1a_hedged`] of the `hedged` row's reference run, captured before
+/// the hedge pass stopped copying every server's pre-hedge column.
+const GOLDEN_HEDGED_FNV: u64 = 0xb5e3_0f34_ca75_511b;
+
+/// [`fnv1a_hedged`] of the `hedged_slow_replica` row's reference run,
+/// captured at the same commit.
+const GOLDEN_HEDGED_SLOW_REPLICA_FNV: u64 = 0xa3e4_ef73_4140_d632;
+
 /// Folds `v`'s eight little-endian bytes into the FNV-1a state `h`.
 fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
     for b in v.to_le_bytes() {
@@ -351,6 +359,30 @@ fn fnv1a_lru(fp: &Fingerprint) -> u64 {
     h
 }
 
+/// [`fnv1a_records`]-seeded FNV-1a over what the hedge pass rewrites:
+/// each server's three latency summaries and hedge counters, then the
+/// pooled sketch (count, bin count and a quantile ladder).
+fn fnv1a_hedged(fp: &Fingerprint) -> u64 {
+    let mut h = fp.records.expect("the hedged golden keeps records");
+    let mut eat = |v: u64| h = fnv1a_u64(h, v);
+    for s in &fp.summaries {
+        for st in [&s.latency, &s.degraded_latency, &s.healthy_latency] {
+            eat(st.count());
+            eat(st.mean().to_bits());
+            eat(st.population_variance().to_bits());
+        }
+        eat(s.resilience.hedges_sent);
+        eat(s.resilience.hedges_won);
+    }
+    eat(fp.sketch.count());
+    eat(fp.sketch.bin_count() as u64);
+    for p in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+        eat(fp.sketch.quantile(p).to_bits());
+    }
+    eat(fp.sketch_ets150);
+    h
+}
+
 /// A row's pinned output.
 #[derive(Debug, Clone, Copy)]
 enum Golden {
@@ -361,6 +393,8 @@ enum Golden {
     Fixed,
     /// [`GOLDEN_LRU_FNV`].
     Lru,
+    /// [`fnv1a_hedged`] equals the given constant.
+    Hedged(u64),
 }
 
 impl Golden {
@@ -405,6 +439,9 @@ impl Golden {
                 GOLDEN_LRU_FNV,
                 "{name}: cache-backed output moved"
             ),
+            Self::Hedged(golden) => {
+                assert_eq!(fnv1a_hedged(fp), golden, "{name}: hedged output moved")
+            }
         }
     }
 }
@@ -542,7 +579,20 @@ rows! {
     hedged => Row::new(
         sim(params(|b| b), 0x4ed6, 0.3, 0.05).client(ClientPolicy::none().hedge(2e-4)),
     )
+    .golden(Golden::Hedged(GOLDEN_HEDGED_FNV))
     .requires("hedges", |out| out.resilience().hedges_sent > 0);
+    /// Hedging against a slowed server 0: its hedges win often, so the
+    /// last server, whose replica is server 0, must draw from server 0's
+    /// pre-hedge column, not the one the hedge stage already rewrote.
+    hedged_slow_replica => Row::new(
+        sim(params(|b| b), 0x4ed7, 0.3, 0.05)
+            .fault_plan(FaultPlan::none().slowdown(0, 0.1, 0.3, 1.2))
+            .client(ClientPolicy::none().hedge(2e-4)),
+    )
+    .golden(Golden::Hedged(GOLDEN_HEDGED_SLOW_REPLICA_FNV))
+    .requires("hedges won on server 0 and sent by the last server", |out| {
+        out.summary(0).resilience.hedges_won > 0 && out.summary(3).resilience.hedges_sent > 0
+    });
     /// A timeout far above any sojourn takes the fault-aware scalar path
     /// but never fails an attempt: the draw sequence, and so the
     /// pre-fault golden, must stay.

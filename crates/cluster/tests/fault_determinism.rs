@@ -8,7 +8,10 @@
 //! threads = 1, 4, and 64 must agree byte-for-byte, down to a rendered
 //! CSV of every observable.
 
-use memlat_cluster::{ClientPolicy, ClusterSim, FaultPlan, RetryPolicy, SimConfig, SimOutput};
+use memlat_cluster::{
+    CacheBackedConfig, ClientPolicy, ClusterSim, FaultPlan, MissMode, RetryPolicy, SimConfig,
+    SimOutput, SimScratch,
+};
 use memlat_model::ModelParams;
 use std::fmt::Write as _;
 
@@ -172,4 +175,32 @@ fn faulty_run_is_reproducible_per_seed() {
     // A different seed gives a different trajectory.
     let c = ClusterSim::run(&faulty_config().seed(0xfa08)).unwrap();
     assert_ne!(render_csv(&a), render_csv(&c));
+}
+
+#[test]
+fn a_failing_server_fails_the_run_at_every_thread_count() {
+    // A 1 KiB cache passes config validation but is below one slab page,
+    // so every server's miss-state build rejects it inside the servers
+    // stage; the lowest failing server's error is the run's.
+    let params = ModelParams::builder().build().unwrap();
+    let cfg = SimConfig::new(params)
+        .duration(0.1)
+        .seed(7)
+        .miss_mode(MissMode::CacheBacked(CacheBackedConfig {
+            memory_bytes: 1 << 10,
+            ..CacheBackedConfig::default()
+        }));
+    assert!(cfg.validate().is_ok());
+    let errors = [1, 4].map(|threads| {
+        match ClusterSim::run_with(&cfg.clone().threads(threads), &mut SimScratch::new()) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a sub-page cache ran at {threads} threads"),
+        }
+    });
+    assert!(
+        errors[0].contains("memory limit below one page"),
+        "{}",
+        errors[0]
+    );
+    assert_eq!(errors[0], errors[1]);
 }
