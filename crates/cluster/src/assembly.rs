@@ -6,19 +6,58 @@
 //! This module performs that assembly over the simulator's per-key
 //! records: for each synthetic request, draw per-server key counts
 //! `Multinomial(N, {p_j})`, sample that many `(s, d)` outcomes from each
-//! server's recorded population, and take the maxima.
+//! server's recorded population (uniformly, with replacement), and take
+//! the maxima.
+//!
+//! # Order statistics instead of one record per key
 //!
 //! Sampling per-key outcomes independently matches the model's
-//! independence assumption (eq. 10); the [`crate::e2e`] mode exists to
-//! measure what that assumption costs.
+//! independence assumption (eq. 10), and its product form (eqs. 10–12,
+//! `P{T_S(N) ≤ t} = Π_j F_j(t)^{n_j}`) says that a request only needs
+//! each server's *maximum*, not every pick. For a server `j` that gets
+//! `c` of a request's keys, holding `L` records of which `m` missed and
+//! `H = L − m` hit:
+//!
+//! - each pick misses independently with probability `m/L`, so the
+//!   number of missed picks is `K ~ Bin(c, m/L)`, drawn by inverting its
+//!   pmf from one uniform;
+//! - the `c − K` hit picks are iid uniform over the hits, so the rank of
+//!   their maximum in the hits' sorted order has
+//!   `P{rank ≤ r} = (r/H)^{c−K}`, and `⌈H·U^{1/(c−K)}⌉` draws it from one
+//!   uniform `U`;
+//! - the `K` missed picks are iid uniform over the missed records, and
+//!   are drawn one by one (about 1.5 per request of `N = 150` at a 1%
+//!   miss ratio). Only they carry a database latency.
+//!
+//! Each request therefore costs `O(M + K)` draws instead of `O(N)`, and
+//! is exact in distribution for with-replacement picks: `T_S`, `T_D` and
+//! `T` keep the law the pick-every-key loop gives them.
+//!
+//! Sorting every hit would cost a full copy of the `s` column, so a
+//! [`RequestAssembler`] keeps only the **top tail**: the hits at or above
+//! a value threshold `τ`, at least one in eight, chosen by one histogram
+//! pass over the `f32` bits. A rank that lands in the tail reads its
+//! value there. A rank below the tail (probability at most
+//! `(7/8)^{c−K}`, under 1% at Table 3's `c ≈ 37`) means every hit pick
+//! lies below `τ`;
+//! conditioned on that, the picks are iid uniform over the hits below
+//! `τ`, so they are drawn by rejection from the full columns (rejecting
+//! misses and records at or above `τ`) and folded one by one. That
+//! fallback keeps the draw exact for any `c`, `N = 1` included.
+//!
+//! The [`crate::e2e`] mode exists to measure what the independence
+//! assumption costs.
 
-use memlat_dist::Multinomial;
+use memlat_dist::simd::{dexp, dln};
+use memlat_dist::{open_unit, Multinomial};
 use memlat_stats::{ConfidenceInterval, StreamingStats};
 use rand::RngCore;
 
 use crate::{columns::KeyColumns, sim::SimOutput};
 
-/// One assembled end-user request.
+/// One assembled end-user request: the value of
+/// [`RequestAssembler::draw`], which [`assemble_columns`] folds into
+/// [`RequestStats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestSample {
     /// End-user latency `T(N) = T_net + max_i(s_i + d_i)`.
@@ -73,38 +112,267 @@ impl std::fmt::Display for RequestStats {
     }
 }
 
-/// One server's records as assembly reads them: the `s` column plus a
-/// 1-bit-per-record miss map, so that only the picks that missed ever
-/// read the `d` column.
+impl RequestStats {
+    /// Folds per-request draws into means with 95% confidence intervals.
+    fn fold(network: f64, samples: impl Iterator<Item = RequestSample>) -> Self {
+        let mut total = StreamingStats::new();
+        let mut ts = StreamingStats::new();
+        let mut td = StreamingStats::new();
+        for r in samples {
+            total.push(r.total);
+            ts.push(r.ts_max);
+            td.push(r.td_max);
+        }
+        Self {
+            total: ConfidenceInterval::for_mean(&total, 0.95),
+            ts: ConfidenceInterval::for_mean(&ts, 0.95),
+            td: ConfidenceInterval::for_mean(&td, 0.95),
+            network,
+            requests: total.count() as usize,
+        }
+    }
+}
+
+/// Maps an `f32`'s bits to its histogram bin: the sign, the exponent and
+/// the top four mantissa bits. For non-negative values the bins are
+/// ordered like the values, and one bin spans at most 1/16 of its
+/// values' magnitude.
+const BIN_SHIFT: u32 = 19;
+
+/// About one hit in `TAIL_FRACTION` (at least that many) is kept, sorted,
+/// in a server's tail.
+const TAIL_FRACTION: u64 = 8;
+
+/// Lowest `ln P{K = 0}` one pmf inversion starts from. Larger counts are
+/// split into chunks of independent binomials so that the first pmf term
+/// stays a normal `f64`, far inside [`dexp`]'s domain.
+const MIN_LN_PMF0: f64 = -600.0;
+
+/// One server's records as assembly reads them.
 struct Population<'a> {
+    /// The full `s` column, read only by the below-tail fallback.
     s: &'a [f32],
+    /// The full `d` column, read only by the below-tail fallback.
     d: &'a [f32],
-    /// Bit `i % 64` of word `i / 64` is set when record `i` has
-    /// `d.to_bits() != 0`.
-    missed: Vec<u64>,
+    /// The `(s, d)` pair of every record that missed (`d.to_bits() != 0`).
+    missed: Vec<(f32, f32)>,
+    /// Number of hits `H`.
+    hits: u64,
+    /// Tail threshold: a hit is in the tail iff `s.to_bits() >= tau`.
+    tau: u32,
+    /// The bits of every hit in the tail, ascending: the top
+    /// `tail.len()` of the hits' sorted order.
+    tail: Vec<u32>,
+    /// `ln(1 − m/L)`, for the pmf of the missed-pick count.
+    ln_hit_p: f64,
+    /// `(m/L) / (1 − m/L)`, the ratio of successive pmf terms' odds.
+    odds: f64,
+    /// Most trials one pmf inversion covers (see [`MIN_LN_PMF0`]).
+    chunk: u64,
 }
 
 impl<'a> Population<'a> {
-    fn new(cols: &'a KeyColumns) -> Self {
-        let d = cols.d();
-        let missed = d
-            .chunks(64)
-            .map(|word| {
-                word.iter().enumerate().fold(0u64, |bits, (b, &x)| {
-                    bits | u64::from(x.to_bits() != 0) << b
-                })
-            })
-            .collect();
+    /// Splits `cols` into its missed pairs and its hit tail, using
+    /// `hist` (one slot per bin) as scratch.
+    fn new(cols: &'a KeyColumns, hist: &mut [u32]) -> Self {
+        let (s, d) = (cols.s(), cols.d());
+        hist.fill(0);
+        let mut misses = 0;
+        for (&s, &d) in s.iter().zip(d) {
+            if d.to_bits() != 0 {
+                misses += 1;
+            } else {
+                hist[(s.to_bits() >> BIN_SHIFT) as usize] += 1;
+            }
+        }
+        let hits = (s.len() - misses) as u64;
+
+        // The threshold is the lower edge of the highest bin at which the
+        // count from the top reaches H/8: ties never straddle it.
+        let target = hits.div_ceil(TAIL_FRACTION);
+        let (mut above, mut tau) = (0, 0);
+        for (b, &count) in hist.iter().enumerate().rev() {
+            above += u64::from(count);
+            if above >= target {
+                tau = (b as u32) << BIN_SHIFT;
+                break;
+            }
+        }
+        // Both lengths are known, so neither vector over-allocates.
+        let mut missed = Vec::with_capacity(misses);
+        let mut tail = Vec::with_capacity(above as usize);
+        for (&s, &d) in s.iter().zip(d) {
+            if d.to_bits() != 0 {
+                missed.push((s, d));
+            } else if s.to_bits() >= tau {
+                tail.push(s.to_bits());
+            }
+        }
+        // Non-negative floats order like their bits.
+        tail.sort_unstable();
+
+        let (ln_hit_p, odds, chunk) = if missed.is_empty() || hits == 0 {
+            // K is certain (0 or c); no inversion runs.
+            (0.0, 0.0, u64::MAX)
+        } else {
+            let p = missed.len() as f64 / s.len() as f64;
+            let ln_hit_p = dln(1.0 - p);
+            (
+                ln_hit_p,
+                p / (1.0 - p),
+                (MIN_LN_PMF0 / ln_hit_p).max(1.0) as u64,
+            )
+        };
         Self {
-            s: cols.s(),
+            s,
             d,
             missed,
+            hits,
+            tau,
+            tail,
+            ln_hit_p,
+            odds,
+            chunk,
         }
     }
 
-    #[inline]
-    fn missed(&self, i: usize) -> bool {
-        self.missed[i / 64] >> (i % 64) & 1 != 0
+    /// Draws how many of `c` picks missed, `K ~ Bin(c, m/L)`, by
+    /// inverting the pmf from one uniform per chunk of trials.
+    fn missed_picks<R: RngCore + ?Sized>(&self, c: u64, rng: &mut R) -> u64 {
+        if self.missed.is_empty() {
+            return 0;
+        }
+        if self.hits == 0 {
+            return c;
+        }
+        let mut missed = 0;
+        let mut left = c;
+        while left > 0 {
+            let trials = left.min(self.chunk);
+            left -= trials;
+            let mut u = open_unit(rng);
+            let mut pmf = dexp(trials as f64 * self.ln_hit_p);
+            let mut k = 0;
+            while u > pmf && k < trials {
+                u -= pmf;
+                pmf *= (trials - k) as f64 / (k + 1) as f64 * self.odds;
+                k += 1;
+            }
+            missed += k;
+        }
+        missed
+    }
+
+    /// Draws the largest `s` among `picks ≥ 1` hit picks: its rank from
+    /// one uniform, read from the tail, or (when the rank falls below the
+    /// tail) the picks themselves by rejection below `tau`.
+    fn hit_max<R: RngCore + ?Sized>(&self, picks: u64, rng: &mut R) -> f32 {
+        // U^{1/picks} is distributed as the largest of `picks` uniforms.
+        let x = dexp(dln(open_unit(rng)) / picks as f64);
+        let rank = ((self.hits as f64 * x).ceil() as u64).clamp(1, self.hits);
+        let below = self.hits - self.tail.len() as u64;
+        if rank > below {
+            return f32::from_bits(self.tail[(rank - below - 1) as usize]);
+        }
+        // Every pick lies below the tail; conditioned on that, the picks
+        // are iid uniform over the hits below `tau`.
+        let len = self.s.len() as u64;
+        let mut max = 0.0f32;
+        for _ in 0..picks {
+            loop {
+                let i = (rng.next_u64() % len) as usize;
+                if self.d[i].to_bits() == 0 && self.s[i].to_bits() < self.tau {
+                    max = max.max(self.s[i]);
+                    break;
+                }
+            }
+        }
+        max
+    }
+}
+
+/// Draws synthetic end-user requests of `n` keys each from per-server
+/// `(s, d)` columns, one [`RequestSample`] per [`RequestAssembler::draw`].
+///
+/// Construction splits each server's records once (see the module
+/// docs); each draw then costs `O(M + K)`, not `O(n)`.
+pub struct RequestAssembler<'a> {
+    pops: Vec<Population<'a>>,
+    split: Multinomial,
+    counts: Vec<u64>,
+    network: f64,
+    n: u64,
+}
+
+impl<'a> RequestAssembler<'a> {
+    /// Prepares assembly over `columns`: server `j` holds `columns[j]`
+    /// and receives a `shares[j]` fraction of each request's `n` keys,
+    /// and every request pays the constant `network` latency. Records
+    /// must be finite and non-negative, as simulated latencies are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shares` is not a probability vector with one entry per
+    /// server, if a server with a positive share has no records, or if
+    /// `n == 0`.
+    #[must_use]
+    pub fn new(columns: &'a [KeyColumns], shares: &[f64], network: f64, n: u64) -> Self {
+        assert!(n > 0, "requests need at least one key");
+        assert_eq!(columns.len(), shares.len(), "one share per server");
+        let split = Multinomial::new(shares).expect("shares must be a probability vector");
+        for (j, (cols, &p)) in columns.iter().zip(shares).enumerate() {
+            assert!(
+                p == 0.0 || !cols.is_empty(),
+                "server {j} has load share {p} but recorded no keys"
+            );
+        }
+        let mut hist = vec![0u32; 1 << (32 - BIN_SHIFT)];
+        Self {
+            pops: columns
+                .iter()
+                .map(|cols| Population::new(cols, &mut hist))
+                .collect(),
+            split,
+            counts: vec![0; shares.len()],
+            network,
+            n,
+        }
+    }
+
+    /// Draws one request: the per-server key counts, then for each
+    /// server with `c > 0` keys the missed-pick count `K`, the hit
+    /// maximum's rank, and the `K` missed picks, in that order.
+    pub fn draw<R: RngCore + ?Sized>(&mut self, mut rng: &mut R) -> RequestSample {
+        // `&mut R` is itself a sized `RngCore`, so it passes as
+        // `&mut dyn RngCore` even when `R` is unsized.
+        self.split.sample_into(self.n, &mut self.counts, &mut rng);
+        let mut worst_s = 0.0f32;
+        let mut worst_d = 0.0f64;
+        let mut worst_missed = 0.0f64;
+        for (pop, &c) in self.pops.iter().zip(&self.counts) {
+            if c == 0 {
+                continue;
+            }
+            let k = pop.missed_picks(c, rng);
+            if k < c {
+                worst_s = worst_s.max(pop.hit_max(c - k, rng));
+            }
+            for _ in 0..k {
+                let (s, d) = pop.missed[(rng.next_u64() % pop.missed.len() as u64) as usize];
+                worst_s = worst_s.max(s);
+                let (s, d) = (f64::from(s), f64::from(d));
+                worst_d = worst_d.max(d);
+                worst_missed = worst_missed.max(s + d);
+            }
+        }
+        // A hit's `d` is zero, so `max_i(s_i + d_i)` is the larger of
+        // `T_S` and the missed picks' `s + d`.
+        let ts = f64::from(worst_s);
+        RequestSample {
+            total: self.network + ts.max(worst_missed),
+            ts_max: ts,
+            td_max: worst_d,
+        }
     }
 }
 
@@ -137,12 +405,21 @@ pub fn assemble_requests<R: RngCore + ?Sized>(
 /// receives a `shares[j]` fraction of each request's keys, and every
 /// request pays the constant `network` latency.
 ///
-/// Each request draws its per-server key counts, then one record index
-/// per key (`next_u64() % len`), in that order. The maxima use an exact
-/// identity for finite, non-negative records: `s + d ≥ s`, so
-/// `max_i(s_i + d_i) = max(T_S, max over missed keys of s_i + d_i)`, and
-/// a hit's `d` is zero. Only the `s` column is read for every key; the
-/// `d` column is read for the keys that missed.
+/// Picks are uniform with replacement, and only each server's maximum is
+/// drawn (the product form of eqs. 10–12; see the module docs). Each
+/// request draws, in order: its per-server key counts
+/// `Multinomial(n, shares)`; then, for each server with `c > 0` keys,
+/// the missed-pick count `K ~ Bin(c, m/L)` by pmf inversion, the rank of
+/// the hit maximum `⌈H·U^{1/(c−K)}⌉` (read from the server's sorted
+/// top tail, or, below the tail, drawn exactly as `c − K` rejection picks
+/// under the tail threshold), and the `K` missed picks one by one.
+/// `T_S` is the larger of the hit maximum and the missed picks' `s`,
+/// `T_D` the missed picks' largest `d`, and
+/// `T = network + max(hit maximum, missed s + d)`.
+///
+/// Each server's records are split once per call: its missed `(s, d)`
+/// pairs, and the top ~1/8 of its hits, sorted. Extra memory is
+/// `O(tail + misses)`; the `s` column is never copied whole.
 ///
 /// # Panics
 ///
@@ -155,73 +432,10 @@ pub fn assemble_columns<R: RngCore + ?Sized>(
     network: f64,
     n: u64,
     requests: usize,
-    mut rng: &mut R,
+    rng: &mut R,
 ) -> RequestStats {
-    assert!(n > 0, "requests need at least one key");
-    assert_eq!(columns.len(), shares.len(), "one share per server");
-    let split = Multinomial::new(shares).expect("shares must be a probability vector");
-    for (j, (cols, &p)) in columns.iter().zip(shares).enumerate() {
-        assert!(
-            p == 0.0 || !cols.is_empty(),
-            "server {j} has load share {p} but recorded no keys"
-        );
-    }
-    let pops: Vec<Population<'_>> = columns.iter().map(Population::new).collect();
-    let mut counts = vec![0u64; shares.len()];
-    let mut picks: Vec<usize> = Vec::new();
-    let mut total = StreamingStats::new();
-    let mut ts = StreamingStats::new();
-    let mut td = StreamingStats::new();
-
-    for _ in 0..requests {
-        // `&mut R` is itself a sized `RngCore`, so it passes as
-        // `&mut dyn RngCore` even when `R` is unsized.
-        split.sample_into(n, &mut counts, &mut rng);
-        picks.clear();
-        for (pop, &c) in pops.iter().zip(&counts) {
-            let len = pop.s.len() as u64;
-            picks.extend((0..c).map(|_| (rng.next_u64() % len) as usize));
-        }
-
-        // Four independent accumulators keep the loads of `s` from
-        // queueing behind one dependency chain of maxima.
-        let mut s_max = [0.0f32; 4];
-        let mut worst_d = 0.0f64;
-        let mut worst_missed = 0.0f64;
-        let mut rest = picks.as_slice();
-        for (pop, &c) in pops.iter().zip(&counts) {
-            let (seg, tail) = rest.split_at(c as usize);
-            rest = tail;
-            let mut quads = seg.chunks_exact(4);
-            for q in &mut quads {
-                for (m, &i) in s_max.iter_mut().zip(q) {
-                    *m = m.max(pop.s[i]);
-                }
-            }
-            for &i in quads.remainder() {
-                s_max[0] = s_max[0].max(pop.s[i]);
-            }
-            for &i in seg {
-                if pop.missed(i) {
-                    let (s, d) = (f64::from(pop.s[i]), f64::from(pop.d[i]));
-                    worst_d = worst_d.max(d);
-                    worst_missed = worst_missed.max(s + d);
-                }
-            }
-        }
-        let worst_s = f64::from(s_max[0].max(s_max[1]).max(s_max[2].max(s_max[3])));
-        total.push(network + worst_s.max(worst_missed));
-        ts.push(worst_s);
-        td.push(worst_d);
-    }
-
-    RequestStats {
-        total: ConfidenceInterval::for_mean(&total, 0.95),
-        ts: ConfidenceInterval::for_mean(&ts, 0.95),
-        td: ConfidenceInterval::for_mean(&td, 0.95),
-        network,
-        requests,
-    }
+    let mut assembler = RequestAssembler::new(columns, shares, network, n);
+    RequestStats::fold(network, (0..requests).map(|_| assembler.draw(rng)))
 }
 
 /// Assembles requests under **key replication**: each key is dispatched
@@ -257,11 +471,7 @@ pub fn assemble_requests_replicated<R: RngCore + ?Sized>(
         loaded.len()
     );
     let mut chosen: Vec<usize> = Vec::with_capacity(replicas);
-    let mut total = StreamingStats::new();
-    let mut ts = StreamingStats::new();
-    let mut td = StreamingStats::new();
-
-    for _ in 0..requests {
+    let mut draw = || {
         let mut worst_total = 0.0f64;
         let mut worst_s = 0.0f64;
         let mut worst_d = 0.0f64;
@@ -292,18 +502,13 @@ pub fn assemble_requests_replicated<R: RngCore + ?Sized>(
             worst_s = worst_s.max(best_s);
             worst_d = worst_d.max(best_d);
         }
-        total.push(out.network_latency() + worst_total);
-        ts.push(worst_s);
-        td.push(worst_d);
-    }
-
-    RequestStats {
-        total: ConfidenceInterval::for_mean(&total, 0.95),
-        ts: ConfidenceInterval::for_mean(&ts, 0.95),
-        td: ConfidenceInterval::for_mean(&td, 0.95),
-        network: out.network_latency(),
-        requests,
-    }
+        RequestSample {
+            total: out.network_latency() + worst_total,
+            ts_max: worst_s,
+            td_max: worst_d,
+        }
+    };
+    RequestStats::fold(out.network_latency(), (0..requests).map(|_| draw()))
 }
 
 #[cfg(test)]

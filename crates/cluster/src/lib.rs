@@ -65,7 +65,7 @@ pub mod runner;
 pub mod server;
 pub mod sim;
 
-pub use assembly::{RequestSample, RequestStats};
+pub use assembly::{RequestAssembler, RequestSample, RequestStats};
 pub use columns::KeyColumns;
 pub use config::{CacheBackedConfig, CacheRouting, MissMode, MissRelay, Retention, SimConfig};
 pub use e2e::{E2eConfig, E2eOutput};
