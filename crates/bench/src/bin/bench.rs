@@ -41,8 +41,8 @@
 use std::time::Instant;
 
 use memlat_bench::{
-    calibrate_spin_rate, cluster_config, cluster_config_m, peak_rss_bytes, read_baseline,
-    write_json, BenchReport, Scenario, SCALE_SERVERS, UTILIZATIONS,
+    calibrate_spin_rate, cluster_config, cluster_config_m, determinism_digest, peak_rss_bytes,
+    read_baseline, write_json, BenchReport, Scenario, SCALE_SERVERS, UTILIZATIONS,
 };
 use memlat_cluster::{ClusterSim, Retention, SimScratch};
 
@@ -150,40 +150,6 @@ fn run_one(rho: f64, retention: &str, duration: f64, reps: u32, block: usize, se
         best_wall = best_wall.min(wall);
     }
     println!("keys={keys} best_wall={best_wall} rss={}", peak_rss_bytes());
-}
-
-/// Digest mode for CI determinism checks: run one fixed scaled-cluster
-/// config at the given thread count and print a FNV-1a fingerprint of
-/// the full streaming output (key count, miss ratio, per-server
-/// utilizations and Welford moments). Identical digests across thread
-/// counts prove the per-worker event shards merge deterministically —
-/// the property the bench-scale CI job byte-diffs.
-fn run_digest(threads: usize, servers: usize) {
-    let cfg = cluster_config_m(0.70, 0.05, servers)
-        .retention(Retention::Summary)
-        .threads(threads);
-    let out = ClusterSim::run(&cfg).expect("digest config is valid");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut push = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-    };
-    push(out.total_keys());
-    push(out.miss_ratio().to_bits());
-    for &u in out.utilization() {
-        push(u.to_bits());
-    }
-    for s in out.summaries() {
-        let l = &s.latency;
-        push(l.count());
-        push(l.mean().to_bits());
-        push(l.sample_variance().to_bits());
-        push(l.min().to_bits());
-        push(l.max().to_bits());
-    }
-    println!("digest={h:016x} keys={}", out.total_keys());
 }
 
 /// Parent mode: spawn `--one` children, assemble the report.
@@ -319,7 +285,7 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--digest") {
         let threads: usize = args[i + 1].parse().expect("threads");
         let servers: usize = args.get(i + 2).map_or(100, |s| s.parse().expect("servers"));
-        run_digest(threads, servers);
+        println!("{}", determinism_digest(threads, servers));
         return;
     }
 

@@ -30,7 +30,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use memlat_cluster::SimConfig;
+use memlat_cluster::{ClusterSim, Retention, SimConfig};
 use memlat_model::ModelParams;
 
 /// The paper's base configuration, shared by benches.
@@ -94,6 +94,46 @@ pub fn cluster_config_m(rho: f64, duration: f64, servers: usize) -> SimConfig {
         .duration(duration)
         .warmup((duration * 0.1).clamp(0.002, 0.1))
         .seed(BENCH_SEED)
+}
+
+/// The determinism fingerprint: runs one fixed scaled-cluster config
+/// (`ρ = 0.70`, 50 ms, Summary retention) at `threads` worker threads
+/// and `servers` servers, and renders a FNV-1a hash of its streaming
+/// output (key count, miss ratio, per-server utilizations and Welford
+/// moments) as `digest=<hex> keys=<n>`. Identical lines across thread
+/// counts prove the per-worker shards merge deterministically; the
+/// 100-server line is pinned in `crates/bench/expected_digest.txt`.
+///
+/// # Panics
+///
+/// Panics if the config fails to run (it is valid by construction).
+#[must_use]
+pub fn determinism_digest(threads: usize, servers: usize) -> String {
+    let cfg = cluster_config_m(0.70, 0.05, servers)
+        .retention(Retention::Summary)
+        .threads(threads);
+    let out = ClusterSim::run(&cfg).expect("digest config is valid");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut push = |bits: u64| {
+        for b in bits.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01B3);
+        }
+    };
+    push(out.total_keys());
+    push(out.miss_ratio().to_bits());
+    for &u in out.utilization() {
+        push(u.to_bits());
+    }
+    for s in out.summaries() {
+        let l = &s.latency;
+        push(l.count());
+        push(l.mean().to_bits());
+        push(l.sample_variance().to_bits());
+        push(l.min().to_bits());
+        push(l.max().to_bits());
+    }
+    format!("digest={h:016x} keys={}", out.total_keys())
 }
 
 /// One measured scenario in the report.

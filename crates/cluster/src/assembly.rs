@@ -29,9 +29,15 @@
 //!   are drawn one by one (about 1.5 per request of `N = 150` at a 1%
 //!   miss ratio). Only they carry a database latency.
 //!
-//! Each request therefore costs `O(M + K)` draws instead of `O(N)`, and
-//! is exact in distribution for with-replacement picks: `T_S`, `T_D` and
-//! `T` keep the law the pick-every-key loop gives them.
+//! Each request therefore costs `O(M + K)` draws instead of `O(N)`.
+//! Given the per-server counts, the draw is exact in distribution for
+//! with-replacement picks: `T_S`, `T_D` and `T` keep the law the
+//! pick-every-key loop gives them. The counts themselves are not exactly
+//! multinomial: [`Multinomial`] splits them by conditional binomials,
+//! and `Binomial` takes a rounded normal whenever
+//! `n·min(p, 1−p) > 30` — every split at `N = 150` over four servers.
+//! The pick-every-key reference draws the same counts, so the two agree
+//! with each other, and both carry that approximation.
 //!
 //! Sorting every hit would cost a full copy of the `s` column, so a
 //! [`RequestAssembler`] keeps only the **top tail**: the hits at or above
@@ -43,7 +49,8 @@
 //! conditioned on that, the picks are iid uniform over the hits below
 //! `τ`, so they are drawn by rejection from the full columns (rejecting
 //! misses and records at or above `τ`) and folded one by one. That
-//! fallback keeps the draw exact for any `c`, `N = 1` included.
+//! fallback keeps the per-server draw exact for any `c`, `N = 1`
+//! included.
 //!
 //! The [`crate::e2e`] mode exists to measure what the independence
 //! assumption costs.

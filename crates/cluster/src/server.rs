@@ -30,7 +30,6 @@
 //! Blocks consume the RNG stream in exactly the scalar order, so block
 //! size can never change the output — only the wall clock.
 
-use memlat_cache::StoreStats;
 use memlat_des::fcfs::FcfsStation;
 use memlat_des::metrics::{ResilienceCounters, ServerCounters};
 use memlat_dist::{GapLaw, ParamError};
@@ -67,8 +66,6 @@ pub struct KeyRecord {
     /// Whether the key exhausted every attempt (timeouts/refusals) and
     /// fell through to the database — a forced miss. Zero on healthy runs.
     pub forced: bool,
-    /// Attempts issued for this key (1 on healthy runs).
-    pub attempts: u32,
     /// Whether the served attempt arrived inside a slowdown window.
     pub degraded: bool,
 }
@@ -78,13 +75,9 @@ pub struct KeyRecord {
 pub struct ServerRunStats {
     /// Observed utilization (busy time ÷ horizon, including warm-up).
     pub utilization: f64,
-    /// Observed miss ratio over the recorded keys.
-    pub miss_ratio: f64,
-    /// Observed key arrival rate (recorded keys ÷ measured duration).
-    pub key_rate: f64,
-    /// Activity counters: busy time and queue high-water mark over the
-    /// full horizon (warm-up included), jobs/misses over the measured
-    /// window.
+    /// Keys recorded and keys missed over the measured window; their
+    /// ratio is the observed miss ratio, and keys ÷ duration the key
+    /// rate.
     pub counters: ServerCounters,
     /// Fault and client-resilience counters (all zero on healthy runs).
     pub resilience: ResilienceCounters,
@@ -187,7 +180,6 @@ pub trait RecordSink {
                 // carries no key identity.
                 key: NO_KEY,
                 forced: false,
-                attempts: 1,
                 degraded: false,
             });
         }
@@ -352,7 +344,6 @@ fn fail_attempt<S: RecordSink, R: RngCore>(
             // coalesces.
             key: NO_KEY,
             forced: true,
-            attempts,
             degraded: false,
         });
     }
@@ -411,7 +402,6 @@ fn process_attempt<S: RecordSink, R: RngCore>(
             missed,
             key: key_id,
             forced: false,
-            attempts: key.attempts + 1,
             degraded,
         });
     } else if env.cache_backed {
@@ -471,12 +461,12 @@ where
     // can fail an attempt mid-block, and without them no retry is ever
     // scheduled).
     let use_block = p.block > 1 && p.faults.is_empty() && p.client.timeout.is_none();
-    let mut kept_store = None;
+    let mut kept_items = None;
     if use_block {
         match &mut decider {
             MissState::Fixed(f) => fixed_lanes(f.ratio(), &mut arrivals, &p, rng, scratch, &mut st),
             MissState::Lru(lru) => {
-                kept_store = Some(lru_lanes(lru, &mut arrivals, &p, rng, scratch, &mut st));
+                kept_items = Some(lru_lanes(lru, &mut arrivals, &p, rng, scratch, &mut st));
             }
         }
     } else {
@@ -509,32 +499,17 @@ where
 
     // The LRU lanes report the store as of the last kept key: their
     // speculative tail may have touched it past the horizon.
-    let (observed_miss_ratio, cached_items) = match kept_store {
-        Some((ratio, items)) => (Some(ratio), items),
-        None => (decider.observed_miss_ratio(), decider.cached_items()),
-    };
-    let recorded = st.recorded as f64;
-    let miss_ratio = observed_miss_ratio.unwrap_or(if recorded > 0.0 {
-        st.misses as f64 / recorded
-    } else {
-        0.0
-    });
-    // Tiny bias: utilization uses the full horizon (warm-up included).
-    let utilization = st.station.utilization(horizon).min(1.0);
-    let counters = ServerCounters {
-        busy_time: st.station.busy_time(),
-        queue_max: st.station.queue_max(),
-        jobs: st.recorded,
-        misses: st.misses,
-    };
+    let cached_items = kept_items.unwrap_or_else(|| decider.cached_items());
     let mut resilience = st.resilience;
     resilience.downtime = p.faults.downtime(horizon);
     resilience.degraded_time = p.faults.degraded_time(horizon);
     Ok(ServerRunStats {
-        utilization,
-        miss_ratio,
-        key_rate: recorded / p.duration,
-        counters,
+        // Tiny bias: utilization uses the full horizon (warm-up included).
+        utilization: st.station.utilization(horizon).min(1.0),
+        counters: ServerCounters {
+            jobs: st.recorded,
+            misses: st.misses,
+        },
         resilience,
         cached_items,
     })
@@ -690,9 +665,8 @@ const LRU_KEY_DRAWS: usize = 2;
 /// Two fix-ups keep a horizon crossing exact. The driver rewinds and
 /// replays [`LRU_KEY_DRAWS`] per kept key, so the kept keys' remaining
 /// draws (counted per batch) are replayed here. And the speculative
-/// tail's decisions already touched the store, so the store's miss
-/// ratio and resident items are returned as of the last kept key,
-/// rebuilt from integer counts.
+/// tail's decisions already touched the store, so the store's resident
+/// items are returned as of the last kept key.
 fn lru_lanes<S: RecordSink, R: RngCore + Clone>(
     decider: &mut LruBackedMiss,
     arrivals: &mut BatchArrivals,
@@ -700,15 +674,8 @@ fn lru_lanes<S: RecordSink, R: RngCore + Clone>(
     rng: &mut R,
     scratch: &mut BlockScratch,
     st: &mut LoopState<S>,
-) -> (f64, u64) {
+) -> u64 {
     let horizon = p.warmup + p.duration;
-    // The store's lookups as of the last kept key (its own counters
-    // also see the speculative tail).
-    let StoreStats {
-        mut hits,
-        mut misses,
-        ..
-    } = decider.store_stats();
     let mut items = decider.cached_items();
     loop {
         scratch.clear();
@@ -759,9 +726,6 @@ fn lru_lanes<S: RecordSink, R: RngCore + Clone>(
         if kept_batches > 0 {
             items = batch_items[kept_batches - 1];
         }
-        let block_misses = missed.iter().map(|&m| u64::from(m)).sum::<u64>();
-        misses += block_misses;
-        hits += n as u64 - block_misses;
         if n == 0 {
             break;
         }
@@ -778,7 +742,6 @@ fn lru_lanes<S: RecordSink, R: RngCore + Clone>(
                 missed,
                 key: scratch.keys[i],
                 forced: false,
-                attempts: 1,
                 degraded: false,
             });
         }
@@ -786,12 +749,7 @@ fn lru_lanes<S: RecordSink, R: RngCore + Clone>(
             break;
         }
     }
-    let kept = StoreStats {
-        hits,
-        misses,
-        ..StoreStats::default()
-    };
-    (kept.miss_ratio(), items)
+    items
 }
 
 /// Expands kept batches into the per-key arrival lane.
@@ -872,24 +830,23 @@ mod tests {
     #[test]
     fn rates_and_utilization_match_configuration() {
         let (records, run) = facebook_run(2.0, 1);
+        let key_rate = run.counters.jobs as f64 / 2.0;
         assert!(
-            (run.key_rate / facebook::KEY_RATE - 1.0).abs() < 0.05,
-            "{}",
-            run.key_rate
+            (key_rate / facebook::KEY_RATE - 1.0).abs() < 0.05,
+            "{key_rate}"
         );
         assert!((run.utilization - 0.78).abs() < 0.05, "{}", run.utilization);
-        assert!((run.miss_ratio - 0.01).abs() < 0.005, "{}", run.miss_ratio);
+        let miss_ratio = run.counters.miss_ratio();
+        assert!((miss_ratio - 0.01).abs() < 0.005, "{miss_ratio}");
         // Counters agree with the record-level view.
         assert_eq!(run.counters.jobs, records.len() as u64);
         assert_eq!(
             run.counters.misses,
             records.iter().filter(|r| r.missed).count() as u64
         );
-        assert!(run.counters.queue_max >= 1);
-        assert!(run.counters.busy_time > 0.0);
         // A healthy run observes no resilience activity at all.
         assert!(!run.resilience.any());
-        assert!(records.iter().all(|r| r.attempts == 1 && !r.forced));
+        assert!(records.iter().all(|r| !r.forced && !r.degraded));
     }
 
     #[test]
@@ -907,8 +864,6 @@ mod tests {
             assert_eq!(scalar_records, records, "block={block}");
             assert_eq!(scalar.counters, blocked.counters, "block={block}");
             assert_eq!(scalar.utilization.to_bits(), blocked.utilization.to_bits());
-            assert_eq!(scalar.miss_ratio.to_bits(), blocked.miss_ratio.to_bits());
-            assert_eq!(scalar.key_rate.to_bits(), blocked.key_rate.to_bits());
             // Same RNG stream position afterwards: the block loop drew
             // exactly the scalar draws, nothing more.
             assert_eq!(scalar_next, rng.next_u64(), "block={block}");
@@ -1039,7 +994,7 @@ mod tests {
             &mut rng,
         );
         assert!(records.iter().all(|r| !r.missed));
-        assert_eq!(run.miss_ratio, 0.0);
+        assert_eq!(run.counters.misses, 0);
     }
 
     #[test]
@@ -1070,11 +1025,8 @@ mod tests {
             &mut rng,
         );
         // Some misses, but far fewer than hits: a working cache.
-        assert!(
-            run.miss_ratio > 0.0 && run.miss_ratio < 0.5,
-            "{}",
-            run.miss_ratio
-        );
+        let miss_ratio = run.counters.miss_ratio();
+        assert!(miss_ratio > 0.0 && miss_ratio < 0.5, "{miss_ratio}");
         assert!(records.iter().any(|r| r.missed));
         assert!(records.iter().any(|r| !r.missed));
     }
@@ -1118,13 +1070,18 @@ mod tests {
         assert!(run.resilience.refused > 0);
         assert!(run.resilience.retries > 0);
         // The retry budget (5 × backoff ≥ 10 ms vs a 20 ms outage)
-        // recovers every refused key.
+        // recovers every refused key: each refusal was retried.
         assert_eq!(run.resilience.forced_misses, 0);
-        let recovered: Vec<_> = records.iter().filter(|r| r.attempts > 1).collect();
+        assert_eq!(run.resilience.retries, run.resilience.refused);
+        // Keys that first arrived inside the outage were refused, and
+        // completed after it ended.
+        let recovered: Vec<_> = records
+            .iter()
+            .filter(|r| (0.3..0.32).contains(&r.arrival))
+            .collect();
         assert!(!recovered.is_empty());
         for r in &recovered {
-            assert!(r.attempts <= 6);
-            // Recovered keys completed after the outage ended.
+            assert!(!r.forced);
             assert!(r.completion > 0.32);
         }
     }
@@ -1202,8 +1159,11 @@ mod tests {
         let hits = records.iter().filter(|r| !r.missed && !r.forced).count() as u64;
         assert_eq!(forced, run.resilience.forced_misses);
         assert_eq!(hits + missed + forced, run.counters.jobs);
-        assert!(run.resilience.timeouts + run.resilience.refused > 0);
-        // Attempts never exceed the policy bound.
-        assert!(records.iter().all(|r| r.attempts >= 1 && r.attempts <= max));
+        let res = run.resilience;
+        assert!(res.timeouts + res.refused > 0);
+        // Every failed attempt is either retried or forces a miss, and
+        // no key retries past the policy bound.
+        assert_eq!(res.timeouts + res.refused, res.retries + res.forced_misses);
+        assert!(res.retries <= u64::from(max - 1) * run.counters.jobs);
     }
 }

@@ -25,10 +25,13 @@
 //! [`SimConfig::effective_block`]-sized lane block at a time on
 //! eligible runs. Under [`Retention::Summary`] without hedging, peak
 //! memory is one fixed-size [`ServerSummary`] per server, one block
-//! scratch and one sketch per worker thread, and the miss stream (one
-//! entry per missed key). Hedging keeps every server's column plus one
-//! pre-hedge copy of server 0's. Sweeps can pass one [`SimScratch`] to
-//! [`ClusterSim::run_with`] to reuse every buffer across runs.
+//! scratch and one sketch per worker thread, the state of the server
+//! each worker is running (its FCFS station is three numbers, however
+//! long the queue; a cache-backed server adds its store), and the miss
+//! stream (one entry per missed key). Hedging keeps every server's
+//! column plus one pre-hedge copy of server 0's. Sweeps can pass one
+//! [`SimScratch`] to [`ClusterSim::run_with`] to reuse every buffer
+//! across runs.
 
 use std::sync::Arc;
 
@@ -69,7 +72,7 @@ pub struct ServerSummary {
     /// Welford statistics of `s` over keys served outside any slowdown
     /// window (equals [`Self::latency`] on healthy runs).
     pub healthy_latency: StreamingStats,
-    /// Busy time, queue high-water mark, jobs, misses.
+    /// Keys recorded and keys missed over the measured window.
     pub counters: ServerCounters,
     /// Fault and client-resilience counters (all zero on healthy runs).
     pub resilience: ResilienceCounters,

@@ -37,7 +37,11 @@ impl Completion {
 /// ```
 ///
 /// which requires no event scheduling at all — this is what lets the
-/// simulator push 10⁷ keys/second through a server model.
+/// simulator push 10⁷ keys/second through a server model. The station
+/// keeps three numbers and no per-job state: the last arrival (for the
+/// ordering contract), the last departure and the busy time. A mean
+/// queue depth, if wanted, follows from Little's law `L = λW` over the
+/// per-key latencies the caller already records.
 ///
 /// # Examples
 ///
@@ -55,12 +59,6 @@ pub struct FcfsStation {
     last_departure: f64,
     last_arrival: f64,
     busy_time: f64,
-    jobs: u64,
-    /// Departure times of jobs still in the system at the last arrival,
-    /// plus the last job itself. FCFS departures are nondecreasing, so
-    /// this is a sorted queue and expiry is a pop-front scan.
-    in_system: std::collections::VecDeque<f64>,
-    queue_max: usize,
 }
 
 impl FcfsStation {
@@ -87,15 +85,6 @@ impl FcfsStation {
         let departure = start + service;
         self.last_departure = departure;
         self.busy_time += service;
-        self.jobs += 1;
-        // Queue-length high-water mark: the in-system count changes by +1
-        // at arrivals and −1 at departures, so its maximum is attained
-        // right after an arrival. Expire finished jobs, admit this one.
-        while self.in_system.front().is_some_and(|&d| d <= arrival) {
-            self.in_system.pop_front();
-        }
-        self.in_system.push_back(departure);
-        self.queue_max = self.queue_max.max(self.in_system.len());
         Completion {
             arrival,
             start,
@@ -107,11 +96,11 @@ impl FcfsStation {
     /// into `departures` — the Lindley recursion
     /// `D_i = max(A_i, D_{i−1}) + S_i` as one tight scan.
     ///
-    /// State updates (busy time, queue high-water mark, the in-system
-    /// queue) end exactly where per-job [`FcfsStation::submit`] calls
-    /// would leave them, with the same per-job float expressions, so
-    /// interleaving scalar submits and block submits on one station is
-    /// bit-identical to submitting every job individually.
+    /// The station state (last arrival and departure, busy time) ends
+    /// exactly where per-job [`FcfsStation::submit`] calls would leave
+    /// it, with the same per-job float expressions, so interleaving
+    /// scalar submits and block submits on one station is bit-identical
+    /// to submitting every job individually.
     ///
     /// # Panics
     ///
@@ -121,9 +110,6 @@ impl FcfsStation {
         let n = arrivals.len();
         assert_eq!(n, services.len(), "lane length mismatch");
         assert_eq!(n, departures.len(), "lane length mismatch");
-        if n == 0 {
-            return;
-        }
         // Everything the scan touches lives in registers; the per-job
         // floating-point add sequence is unchanged, so the write-back
         // below leaves the station bit-identical to scalar submits.
@@ -133,26 +119,10 @@ impl FcfsStation {
         // iterations, so no lane-parallel form exists without
         // reassociating the adds (which would break bit-identity with
         // per-job submits). Beside it each job costs the two contract
-        // asserts (`ucomisd`), the `busy_time` add, and for the
-        // high-water mark one load and one `ucomisd` whose branch is
-        // taken only when the mark rises, so it predicts well. The
-        // deque is touched once per block (`memmove`/`memcpy` in the
-        // epilogue), never per job.
+        // asserts (`ucomisd`) and the `busy_time` add.
         let mut depart = self.last_departure;
         let mut last_arrival = self.last_arrival;
         let mut busy_time = self.busy_time;
-        // Queue high-water mark as a running-max test. The in-system
-        // count at arrival `i` is job `i` plus the earlier jobs departing
-        // after `A_i`; it rises by at most one per arrival, and since
-        // FCFS departures are nondecreasing those earlier jobs are a
-        // suffix. So the count exceeds the current mark `qm` iff job
-        // `i − qm` departs after `A_i`, and then the mark becomes
-        // `qm + 1`. Every job counts itself, so a nonempty block lifts
-        // a zero mark to one. Jobs before this block are read from the
-        // tail of the carried deque; a job older than the deque has
-        // already departed by the last arrival.
-        let carry: &[f64] = self.in_system.make_contiguous();
-        let mut queue_max = self.queue_max.max(1);
         for i in 0..n {
             let arrival = arrivals[i];
             let service = services[i];
@@ -165,36 +135,10 @@ impl FcfsStation {
             depart = arrival.max(depart) + service;
             departures[i] = depart;
             busy_time += service;
-            let older = if i >= queue_max {
-                Some(departures[i - queue_max])
-            } else {
-                carry
-                    .len()
-                    .checked_sub(queue_max - i)
-                    .map(|back| carry[back])
-            };
-            if older.is_some_and(|d| d > arrival) {
-                queue_max += 1;
-            }
         }
         self.last_departure = depart;
         self.last_arrival = last_arrival;
         self.busy_time = busy_time;
-        self.jobs += n as u64;
-        self.queue_max = queue_max;
-        // Restore the deque exactly as per-job submits leave it: the
-        // carried and in-block departures after the last arrival, then
-        // the last job itself.
-        let c = carry.partition_point(|&d| d <= last_arrival);
-        let k = departures[..n - 1].partition_point(|&d| d <= last_arrival);
-        self.in_system.drain(..c);
-        self.in_system.extend(departures[k..].iter().copied());
-    }
-
-    /// Number of jobs served.
-    #[must_use]
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// When the server will next be idle.
@@ -207,13 +151,6 @@ impl FcfsStation {
     #[must_use]
     pub fn busy_time(&self) -> f64 {
         self.busy_time
-    }
-
-    /// Largest number of jobs simultaneously in the system (queued +
-    /// in service), observed exactly at arrival instants.
-    #[must_use]
-    pub fn queue_max(&self) -> usize {
-        self.queue_max
     }
 
     /// Empirical utilization over `[0, horizon]`.
@@ -251,24 +188,8 @@ mod tests {
         let c = s.submit(0.0, 1.0);
         assert_eq!(c.start, 2.0);
         assert_eq!(c.departure, 3.0);
-        assert_eq!(s.jobs(), 3);
         assert_eq!(s.busy_until(), 3.0);
-        assert_eq!(s.queue_max(), 3);
         assert_eq!(s.busy_time(), 3.0);
-    }
-
-    #[test]
-    fn queue_max_tracks_overlap_not_total() {
-        let mut s = FcfsStation::new();
-        // Two overlapping jobs, then the system drains, then one more.
-        s.submit(0.0, 1.0);
-        s.submit(0.5, 1.0); // in system with the first → high-water 2
-        s.submit(10.0, 1.0); // alone
-        assert_eq!(s.queue_max(), 2);
-        // A lone job on an idle server never raises the mark above 1.
-        let mut idle = FcfsStation::new();
-        idle.submit(0.0, 1.0);
-        assert_eq!(idle.queue_max(), 1);
     }
 
     #[test]
@@ -332,17 +253,11 @@ mod tests {
         for (a, b) in scalar_departs.iter().zip(&block_departs) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(scalar.jobs(), blocked.jobs());
         assert_eq!(scalar.busy_time().to_bits(), blocked.busy_time().to_bits());
-        assert_eq!(scalar.queue_max(), blocked.queue_max());
         assert_eq!(
             scalar.busy_until().to_bits(),
             blocked.busy_until().to_bits()
         );
-        // The carried queue holds exactly what per-job submits keep: a
-        // block that left departed jobs behind would answer every query
-        // the same and still grow without bound.
-        assert_eq!(scalar.in_system, blocked.in_system);
     }
 
     #[test]

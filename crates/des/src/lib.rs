@@ -8,9 +8,11 @@
 //! sorting, not through an event heap.
 //!
 //! * [`fcfs`] — [`FcfsStation`]: a single-server FCFS queue evaluated in
-//!   virtual time with built-in wait/sojourn/utilization measurement.
+//!   virtual time by the Lindley recursion; each [`Completion`] carries
+//!   its job's wait and sojourn, and the station keeps its busy time
+//!   for utilization.
 //! * [`metrics`] — per-server activity, resilience and coalescing
-//!   counters that merge across shards and replications.
+//!   counters; the resilience and coalescing ones merge across servers.
 //! * [`fault`] — [`fault::Window`] / [`fault::Timeline`]: scheduled
 //!   crash/degradation windows a station owner can query in virtual
 //!   time.

@@ -4,15 +4,10 @@
 ///
 /// These are the cheap always-on observables the streaming simulator
 /// keeps per server (the full per-key sample buffers are optional): how
-/// long the server was busy, how deep its queue got, and how many keys
-/// it served and missed. Counters from replicated or sharded runs
-/// combine with [`ServerCounters::merge`].
+/// many keys it served and how many of them missed. Busy time reaches
+/// the caller as utilization.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerCounters {
-    /// Total service time accumulated (utilization numerator).
-    pub busy_time: f64,
-    /// High-water mark of jobs simultaneously in the system.
-    pub queue_max: usize,
     /// Keys served (post-warmup measurement window).
     pub jobs: u64,
     /// Keys that missed in the cache and went to the database.
@@ -20,15 +15,6 @@ pub struct ServerCounters {
 }
 
 impl ServerCounters {
-    /// Combines counters from two disjoint observation streams: sums the
-    /// extensive quantities, takes the max of the high-water mark.
-    pub fn merge(&mut self, other: &Self) {
-        self.busy_time += other.busy_time;
-        self.queue_max = self.queue_max.max(other.queue_max);
-        self.jobs += other.jobs;
-        self.misses += other.misses;
-    }
-
     /// Miss ratio over the served keys (0 when nothing was served).
     #[must_use]
     pub fn miss_ratio(&self) -> f64 {
@@ -190,29 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_merge_and_ratio() {
-        let mut a = ServerCounters {
-            busy_time: 1.0,
-            queue_max: 3,
-            jobs: 10,
-            misses: 1,
+    fn counters_miss_ratio() {
+        let a = ServerCounters {
+            jobs: 40,
+            misses: 4,
         };
-        let b = ServerCounters {
-            busy_time: 2.0,
-            queue_max: 5,
-            jobs: 30,
-            misses: 3,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            ServerCounters {
-                busy_time: 3.0,
-                queue_max: 5,
-                jobs: 40,
-                misses: 4
-            }
-        );
         assert!((a.miss_ratio() - 0.1).abs() < 1e-12);
         assert_eq!(ServerCounters::default().miss_ratio(), 0.0);
     }

@@ -32,34 +32,9 @@ fn jobs(raw: &[(u8, f64, u8, f64)], load: f64) -> (Vec<f64>, Vec<f64>) {
     (arrivals, services)
 }
 
-/// The high-water mark from its definition: at arrival `i`, job `i`
-/// plus every earlier job departing after `A_i`.
-fn brute_queue_max(arrivals: &[f64], departures: &[f64]) -> usize {
-    (0..arrivals.len())
-        .map(|i| 1 + departures[..i].iter().filter(|&&d| d > arrivals[i]).count())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Reads the in-system queue of `s` as seen from time `t` (at or after
-/// its last arrival) through scalar submits: `queue_max() + 1` probe
-/// jobs tied at `t`, each with positive service so none leaves before
-/// the next arrives, lift the mark to exactly the number of queued jobs
-/// still present at `t` plus the probes.
-fn queued_at(s: &FcfsStation, t: f64) -> usize {
-    let mut probe = s.clone();
-    let extra = probe.queue_max() + 1;
-    for _ in 0..extra {
-        probe.submit(t, 1.0);
-    }
-    probe.queue_max() - extra
-}
-
 fn assert_same_state(a: &FcfsStation, b: &FcfsStation) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.jobs(), b.jobs());
     prop_assert_eq!(a.busy_time().to_bits(), b.busy_time().to_bits());
     prop_assert_eq!(a.busy_until().to_bits(), b.busy_until().to_bits());
-    prop_assert_eq!(a.queue_max(), b.queue_max());
     Ok(())
 }
 
@@ -67,8 +42,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every split of the stream into block and scalar calls leaves the
-    /// departures, the station state after each call and the carried
-    /// queue bit-identical to per-job submits.
+    /// departures and the station state after each call bit-identical
+    /// to per-job submits.
     #[test]
     fn block_and_scalar_submits_agree(
         raw in proptest::collection::vec((0u8..6, 0.0f64..1.0, 0u8..8, 0.0f64..1.0), 1..3000),
@@ -106,20 +81,10 @@ proptest! {
             assert_same_state(&scalar, &mixed)?;
             at += len;
         }
-        prop_assert_eq!(scalar.queue_max(), brute_queue_max(&arrivals, &expected));
-        // The carried queue, read through scalar submits at times from
-        // the last arrival to past the last departure.
-        let last = arrivals[n - 1];
-        let until = scalar.busy_until();
-        for k in 0..=8 {
-            let t = last + (until - last) * f64::from(k) / 8.0;
-            prop_assert_eq!(queued_at(&scalar, t), queued_at(&mixed, t), "probe t={}", t);
-        }
     }
 
-    /// One whole-stream block equals per-job submits, and a following
-    /// block that reads the carried queue continues the high-water mark
-    /// exactly.
+    /// A stream cut into two blocks equals per-job submits: the second
+    /// block continues from the first's carried departure exactly.
     #[test]
     fn whole_block_then_block_reads_the_carry(
         raw in proptest::collection::vec((0u8..6, 0.0f64..1.0, 0u8..8, 0.0f64..1.0), 2..2000),
@@ -144,29 +109,27 @@ proptest! {
             prop_assert_eq!(e.to_bits(), g.to_bits(), "job {}", i);
         }
         assert_same_state(&scalar, &blocked)?;
-        prop_assert_eq!(blocked.queue_max(), brute_queue_max(&arrivals, &expected));
     }
 }
 
 #[test]
-fn batch_of_tied_zero_service_jobs_counts_every_job() {
+fn batch_of_tied_zero_service_jobs_departs_at_arrival() {
     // Five jobs tied at t = 1 with no service on an idle server: each
-    // departs at its arrival, and the scalar rule (expire `d <= A`,
-    // then admit) counts only the arriving job — the mark stays 1.
+    // departs at its arrival, on the block path as on the scalar one.
     let mut scalar = FcfsStation::new();
-    for _ in 0..5 {
-        scalar.submit(1.0, 0.0);
-    }
+    let want: Vec<f64> = (0..5).map(|_| scalar.submit(1.0, 0.0).departure).collect();
     let mut blocked = FcfsStation::new();
     let mut d = [0.0; 5];
     blocked.submit_block(&[1.0; 5], &[0.0; 5], &mut d);
     assert_eq!(d, [1.0; 5]);
-    assert_eq!(scalar.queue_max(), 1);
-    assert_eq!(blocked.queue_max(), 1);
-    // A tied batch behind a busy server queues in full.
+    assert_eq!(want, d);
+    assert_eq!(blocked.busy_until(), 1.0);
+    assert_eq!(blocked.busy_time(), 0.0);
+    // A tied batch behind a busy server waits for it, then passes
+    // through at its departure.
     let mut busy = FcfsStation::new();
     let mut d = [0.0; 4];
     busy.submit_block(&[0.0, 0.5, 0.5, 0.5], &[1.0, 0.0, 0.0, 0.0], &mut d);
     assert_eq!(d, [1.0; 4]);
-    assert_eq!(busy.queue_max(), 4);
+    assert_eq!(busy.busy_until(), 1.0);
 }

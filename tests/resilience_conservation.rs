@@ -274,7 +274,7 @@ fn conservation_holds_on_four_threads_and_matches_one() {
         assert_eq!(sa.counters.jobs, sb.counters.jobs);
         assert_eq!(sa.counters.misses, sb.counters.misses);
         assert_eq!(sa.resilience, sb.resilience);
-        assert!((sa.counters.busy_time - sb.counters.busy_time).abs() == 0.0);
+        assert_eq!(sa.utilization.to_bits(), sb.utilization.to_bits());
     }
     for j in 0..a.summaries().len() {
         assert_eq!(a.records(j).s(), b.records(j).s());
