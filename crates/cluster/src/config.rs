@@ -157,12 +157,16 @@ pub struct SimConfig {
     /// Miss relay mode: independent database trips (the paper) or
     /// per-key fetch coalescing with delayed hits.
     pub miss_relay: MissRelay,
-    /// Worker threads for the per-server simulations. `1` forces the
-    /// legacy sequential path; `0` (default) auto-detects: the
-    /// `MEMLAT_THREADS` environment variable if set, else the machine's
-    /// available parallelism. Any value produces bit-identical output —
-    /// every server draws from its own seed-derived RNG stream and
-    /// results are merged in server order.
+    /// Worker threads of the [`pool`](crate::pool) that runs the
+    /// per-server simulations (and [`run_replications`]'s
+    /// replications). `0` (default) auto-detects: the `MEMLAT_THREADS`
+    /// environment variable if set, else the machine's available
+    /// parallelism. Every value runs the same code, `1` inline on the
+    /// calling thread, and produces bit-identical output: every server
+    /// draws from its own seed-derived RNG stream and results are merged
+    /// in server order.
+    ///
+    /// [`run_replications`]: crate::run_replications
     pub threads: usize,
     /// Per-key data retention policy.
     pub retention: Retention,
@@ -254,7 +258,7 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker thread count (`0` = auto, `1` = sequential).
+    /// Sets the worker thread count (`0` = auto, `1` = inline).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -330,21 +334,12 @@ impl SimConfig {
     }
 
     /// The worker thread count to actually use: the explicit value, else
-    /// `MEMLAT_THREADS`, else the machine's available parallelism.
-    /// Always at least 1.
+    /// `MEMLAT_THREADS`, else the machine's available parallelism; 1 on
+    /// a pool worker, where nested pools run inline (see
+    /// [`pool::threads`](crate::pool::threads)). Always at least 1.
     #[must_use]
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        if let Ok(v) = std::env::var("MEMLAT_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        crate::pool::threads(self.threads)
     }
 
     /// The sampling block size to actually use: the explicit value, else

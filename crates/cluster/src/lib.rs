@@ -30,6 +30,7 @@
 //! | [`assembly`] | synthetic request assembly and latency breakdowns |
 //! | [`e2e`] | end-to-end mode: explicit request fan-out (tests the independence assumption) |
 //! | [`runner`] | parallel replications with confidence intervals |
+//! | [`pool`] | the one worker pool: round-robin items over caller-owned worker states, nested pools inline |
 //!
 //! # Examples
 //!
@@ -61,6 +62,7 @@ pub mod database;
 pub mod e2e;
 pub mod fault;
 pub mod miss;
+pub mod pool;
 pub mod runner;
 pub mod server;
 pub mod sim;

@@ -1,14 +1,16 @@
-//! Parallel replications.
+//! Independent replications.
 //!
 //! The paper reports confidence intervals over a long run; we get the
 //! same statistical strength from several shorter independent
-//! replications run across threads (`std::thread::scope` — no
-//! `'static` bounds needed).
+//! replications, run on the [`pool`](crate::pool) with one reused
+//! [`SimScratch`] per worker. Each replication's own servers stage then
+//! runs inline on its worker.
 
 use memlat_stats::{ConfidenceInterval, QuantileSketch, StreamingStats};
 use rand::SeedableRng;
 
-use crate::{assembly::assemble_requests, config::SimConfig, sim::ClusterSim, SimError};
+use crate::sim::{ClusterSim, SimScratch};
+use crate::{assembly::assemble_requests, config::SimConfig, SimError};
 
 /// Per-replication summary statistics aggregated over seeds.
 ///
@@ -36,30 +38,44 @@ pub struct ReplicatedStats {
     pub latency_sketch: QuantileSketch,
 }
 
-/// Runs `replications` independent simulations (seeds `base_seed..`),
-/// assembling `requests_per_rep` requests of `n` keys in each, in
-/// parallel.
+/// Runs `replications` independent simulations (replication `i` seeded
+/// `splitmix64(cfg.seed ^ (i + 1))`), assembling `requests_per_rep`
+/// requests of `n` keys in each, on [`SimConfig::threads`] pool workers.
 ///
 /// # Errors
 ///
-/// Propagates the first simulation error encountered.
+/// [`SimError::InvalidConfig`] for zero replications (there is nothing
+/// to estimate); otherwise the lowest failing replication's error.
 pub fn run_replications(
     cfg: &SimConfig,
     n: u64,
     replications: usize,
     requests_per_rep: usize,
 ) -> Result<ReplicatedStats, SimError> {
-    let mut results: Vec<Option<Result<RepResult, SimError>>> = Vec::new();
-    results.resize_with(replications, || None);
-
-    std::thread::scope(|scope| {
-        for (i, slot) in results.iter_mut().enumerate() {
-            let cfg = cfg.clone();
-            scope.spawn(move || {
-                *slot = Some(run_one(cfg, n, i as u64, requests_per_rep));
-            });
-        }
-    });
+    if replications == 0 {
+        return Err(SimError::InvalidConfig(
+            "run_replications needs at least one replication".into(),
+        ));
+    }
+    let threads = cfg.effective_threads().min(replications);
+    let mut scratches: Vec<SimScratch> = (0..threads).map(|_| SimScratch::new()).collect();
+    let mut results: Vec<Option<RepResult>> = (0..replications).map(|_| None).collect();
+    crate::pool::for_each(&mut scratches, results.iter_mut(), |scratch, rep, slot| {
+        let seed = memlat_des::rng::splitmix64(cfg.seed ^ (rep as u64 + 1));
+        let cfg = cfg.clone().seed(seed);
+        let out = ClusterSim::run_with(&cfg, scratch)?;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xa55e);
+        let stats = assemble_requests(&out, n, requests_per_rep, &mut rng);
+        *slot = Some(RepResult {
+            ts: stats.ts.mean,
+            td: stats.td.mean,
+            total: stats.total.mean,
+            miss_ratio: out.miss_ratio(),
+            peak_utilization: out.utilization().iter().copied().fold(0.0f64, f64::max),
+            latency_sketch: out.pooled_latency_sketch().clone(),
+        });
+        Ok::<(), SimError>(())
+    })?;
 
     let mut ts = StreamingStats::new();
     let mut td = StreamingStats::new();
@@ -68,7 +84,6 @@ pub fn run_replications(
     let mut peak = StreamingStats::new();
     let mut latency_sketch = QuantileSketch::new();
     for r in results.into_iter().flatten() {
-        let r = r?;
         ts.push(r.ts);
         td.push(r.td);
         total.push(r.total);
@@ -98,24 +113,6 @@ struct RepResult {
     miss_ratio: f64,
     peak_utilization: f64,
     latency_sketch: QuantileSketch,
-}
-
-fn run_one(cfg: SimConfig, n: u64, rep: u64, requests: usize) -> Result<RepResult, SimError> {
-    let cfg = cfg
-        .clone()
-        .seed(memlat_des::rng::splitmix64(cfg.seed ^ (rep + 1)));
-    let out = ClusterSim::run(&cfg)?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xa55e);
-    let stats = assemble_requests(&out, n, requests, &mut rng);
-    let peak = out.utilization().iter().copied().fold(0.0f64, f64::max);
-    Ok(RepResult {
-        ts: stats.ts.mean,
-        td: stats.td.mean,
-        total: stats.total.mean,
-        miss_ratio: out.miss_ratio(),
-        peak_utilization: peak,
-        latency_sketch: out.pooled_latency_sketch().clone(),
-    })
 }
 
 #[cfg(test)]
@@ -155,5 +152,15 @@ mod tests {
         let a = run_replications(&cfg, 150, 3, 2_000).unwrap();
         let b = run_replications(&cfg, 150, 3, 2_000).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zero_replications_is_an_error_not_an_estimate() {
+        let params = ModelParams::builder().build().unwrap();
+        let cfg = SimConfig::new(params).duration(0.2).seed(7);
+        assert!(matches!(
+            run_replications(&cfg, 150, 0, 2_000),
+            Err(SimError::InvalidConfig(_))
+        ));
     }
 }

@@ -13,9 +13,9 @@
 //! sketches merge by count addition, and the database stage consumes one
 //! miss stream in `(time, server, push order)` order — one sort by
 //! `(time, origin)` over the per-worker miss buffers. The servers stage
-//! therefore dispatches servers round-robin across
-//! [`SimConfig::threads`] worker threads and still produces
-//! **bit-identical** output to the sequential path for a fixed seed.
+//! therefore hands servers round-robin to the [`pool`](crate::pool)'s
+//! [`SimConfig::threads`] workers and produces **bit-identical** output
+//! at every thread count for a fixed seed.
 //!
 //! The per-key hot path is **streaming and block-batched**: each
 //! server's resolved keys flow from [`simulate_server_streaming_with`]
@@ -487,11 +487,10 @@ impl<'a> Plan<'a> {
     }
 
     /// The servers stage: simulates every server into its slot of
-    /// `summaries`, on `workers.len()` scoped threads. Servers are
-    /// interleaved round-robin so a hot server does not serialize a
-    /// whole chunk: thread `t` gets server `j ≡ t (mod threads)`'s cell
-    /// and summary, both indexed by server. Each thread stops at its
-    /// first failing server; the lowest failing server's error wins.
+    /// `summaries` on the [`pool`](crate::pool), one worker per entry of
+    /// `workers`. Server `j` runs on worker `j mod threads` with its own
+    /// cell and summary, both indexed by server; the lowest failing
+    /// server's error is the run's.
     fn servers_stage(
         &self,
         summaries: &mut [ServerSummary],
@@ -502,45 +501,18 @@ impl<'a> Plan<'a> {
             w.sketch = QuantileSketch::new();
             w.misses.clear();
         }
-        let threads = workers.len();
-        if threads <= 1 {
-            let ws = &mut workers[0];
-            for (j, (summary, cell)) in summaries.iter_mut().zip(cells).enumerate() {
+        crate::pool::for_each(
+            workers,
+            summaries.iter_mut().zip(cells),
+            |ws, j, (summary, cell)| {
                 *summary = self.simulate_server(j, cell, ws)?;
-            }
-            return Ok(());
-        }
-        let mut lanes: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-        for (j, (summary, cell)) in summaries.iter_mut().zip(cells).enumerate() {
-            lanes[j % threads].push((j, summary, cell));
-        }
-        let failed = std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .into_iter()
-                .zip(workers.iter_mut())
-                .map(|(lane, ws)| {
-                    scope.spawn(move || {
-                        for (j, summary, cell) in lane {
-                            match self.simulate_server(j, cell, ws) {
-                                Ok(s) => *summary = s,
-                                Err(e) => return Some((j, e)),
-                            }
-                        }
-                        None
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .min_by_key(|&(j, _)| j)
-        });
-        failed.map_or(Ok(()), |(_, e)| Err(e))
+                Ok(())
+            },
+        )
     }
 
-    /// Server `j`'s run on one worker's scratch; identical code on the
-    /// sequential and parallel paths, so thread count cannot change the
-    /// output.
+    /// Server `j`'s run on one worker's scratch; which worker runs it
+    /// cannot change the output.
     fn simulate_server(
         &self,
         j: usize,

@@ -11,7 +11,7 @@ use memlat_cluster::{
 use memlat_model::{database, LoadDistribution, ModelParams, ServerLatencyModel};
 use rand::SeedableRng;
 
-use crate::{parallel_sweep, parallel_sweep_with, quick_mode, sim_duration, ExpResult};
+use crate::{parallel_sweep, quick_mode, sim_duration, ExpResult};
 
 /// Redundancy trade-off ("low latency via redundancy", the paper's
 /// related work \[12\]): dispatch every key to `R` replicas and keep the
@@ -26,7 +26,7 @@ pub fn ablation_redundancy() -> ExpResult {
     let lams: Vec<f64> = vec![10e3, 15e3, 20e3, 25e3, 30e3, 35e3];
     let n = 150;
     let requests = if quick_mode() { 4_000 } else { 20_000 };
-    let rows = parallel_sweep_with(lams, SimScratch::new, |scratch, lam0| {
+    let rows = parallel_sweep(lams, |scratch, lam0| {
         let run = |rate: f64, seed: u64, scratch: &mut SimScratch| {
             let params = ModelParams::builder()
                 .key_rate_per_server(rate)
@@ -79,7 +79,7 @@ pub fn ablation_redundancy() -> ExpResult {
 #[must_use]
 pub fn ablation_bound_tightness() -> ExpResult {
     let p1s: Vec<f64> = vec![0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85];
-    let rows = parallel_sweep_with(p1s, SimScratch::new, |scratch, p1| {
+    let rows = parallel_sweep(p1s, |scratch, p1| {
         let params = ModelParams::builder()
             .load(if p1 <= 0.25 {
                 LoadDistribution::Balanced
@@ -166,7 +166,7 @@ pub fn ablation_independence() -> ExpResult {
     let ms: Vec<usize> = vec![4, 8, 16, 32];
     let n = 150;
     let requests = if quick_mode() { 3_000 } else { 12_000 };
-    let rows = parallel_sweep_with(ms, SimScratch::new, |scratch, m| {
+    let rows = parallel_sweep(ms, |scratch, m| {
         let params = ModelParams::builder()
             .servers(m)
             .key_rate_per_server(62_500.0)
@@ -245,7 +245,7 @@ pub fn ablation_eviction_policy() -> ExpResult {
     };
 
     let budgets_mb = [4usize, 16, 64];
-    let rows = parallel_sweep(budgets_mb.to_vec(), |mb| {
+    let rows = parallel_sweep(budgets_mb.to_vec(), |_, mb| {
         let budget = mb << 20;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xab9 + mb as u64);
         let mut lru = Store::new(StoreConfig::with_memory(budget)).unwrap();
@@ -305,7 +305,7 @@ pub fn ablation_request_law() -> ExpResult {
     use memlat_model::RequestLatencyLaw;
     let rs = [0.0f64, 0.001, 0.01, 0.05];
     let requests = if quick_mode() { 4_000 } else { 30_000 };
-    let rows = parallel_sweep_with(rs.to_vec(), SimScratch::new, |scratch, miss| {
+    let rows = parallel_sweep(rs.to_vec(), |scratch, miss| {
         let params = ModelParams::builder().miss_ratio(miss).build().unwrap();
         let law = RequestLatencyLaw::new(&params).unwrap();
         let out = ClusterSim::run_with(

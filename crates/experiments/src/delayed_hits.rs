@@ -26,11 +26,10 @@
 
 use memlat_cluster::{
     CacheBackedConfig, CacheRouting, ClusterSim, MissMode, MissRelay, Retention, SimConfig,
-    SimScratch,
 };
 use memlat_model::ModelParams;
 
-use crate::{parallel_sweep_with, sim_duration, ExpResult};
+use crate::{parallel_sweep, sim_duration, ExpResult};
 
 const SEED: u64 = 0xde1a;
 const WARMUP: f64 = 0.1;
@@ -83,7 +82,7 @@ pub fn delayed_hits() -> ExpResult {
         v
     };
 
-    let rows = parallel_sweep_with(regimes, SimScratch::new, |scratch, r| {
+    let rows = parallel_sweep(regimes, |scratch, r| {
         let mu_d = 1e6 / r.fetch_us;
         let params = ModelParams::builder()
             .db_service_rate(mu_d)

@@ -22,6 +22,7 @@
 
 use memlat_cluster::{
     run_replications, CacheBackedConfig, CacheRouting, ClusterSim, MissMode, Retention, SimConfig,
+    SimScratch,
 };
 use memlat_model::asymptotics::{che_miss_ratio, lru_miss_ratio_asymptotic};
 use memlat_model::ModelParams;
@@ -46,7 +47,7 @@ struct Regime {
 /// service rates scaled together leave `r` untouched but let the LRU
 /// warm through its fill phase; 4× service headroom keeps the ring's
 /// hottest server — which owns the Zipf head — stationary).
-fn emerge(r: &Regime, seed: u64) -> (u64, f64) {
+fn emerge(r: &Regime, seed: u64, scratch: &mut SimScratch) -> (u64, f64) {
     let params = ModelParams::builder()
         .key_rate_per_server(200_000.0)
         .service_rate(800_000.0)
@@ -71,7 +72,7 @@ fn emerge(r: &Regime, seed: u64) -> (u64, f64) {
             mean_value_bytes: MEAN_VALUE_BYTES,
             routing: CacheRouting::ConsistentHash { vnodes: VNODES },
         }));
-    let out = ClusterSim::run(&cfg).expect("emerge-phase run");
+    let out = ClusterSim::run_with(&cfg, scratch).expect("emerge-phase run");
     (out.cached_items(), out.miss_ratio())
 }
 
@@ -89,9 +90,9 @@ pub fn emergent_r() -> ExpResult {
         v
     };
 
-    let rows = parallel_sweep(regimes, |r| {
+    let rows = parallel_sweep(regimes, |scratch, r| {
         let seed = SEED ^ ((r.mem_mib as u64) << 8) ^ (r.skew * 100.0) as u64;
-        let (cached_items, emergent) = emerge(&r, seed);
+        let (cached_items, emergent) = emerge(&r, seed, scratch);
         let x = cached_items as f64;
         let jqt = lru_miss_ratio_asymptotic(KEYSPACE, r.skew, x).expect("skew > 1");
         let che = che_miss_ratio(KEYSPACE, r.skew, x).expect("valid Che point");

@@ -16,9 +16,7 @@ use memlat_model::{
 use memlat_workload::facebook;
 use rand::SeedableRng;
 
-use crate::{
-    parallel_sweep, parallel_sweep_with, quick_mode, request_count, sim_duration, ExpResult,
-};
+use crate::{parallel_sweep, quick_mode, request_count, sim_duration, ExpResult};
 
 /// The paper's §5.1 base configuration.
 #[must_use]
@@ -185,7 +183,7 @@ pub fn fig04() -> ExpResult {
 #[must_use]
 pub fn fig05() -> ExpResult {
     let qs: Vec<f64> = vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
-    let rows = parallel_sweep_with(qs, SimScratch::new, |scratch, q| {
+    let rows = parallel_sweep(qs, |scratch, q| {
         let params = ModelParams::builder()
             .concurrency(q)
             .build()
@@ -210,7 +208,7 @@ pub fn fig05() -> ExpResult {
 #[must_use]
 pub fn fig06() -> ExpResult {
     let xis: Vec<f64> = vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
-    let rows = parallel_sweep_with(xis, SimScratch::new, |scratch, xi| {
+    let rows = parallel_sweep(xis, |scratch, xi| {
         let params = ModelParams::builder()
             .arrival(ArrivalPattern::GeneralizedPareto { xi })
             .build()
@@ -235,7 +233,7 @@ pub fn fig06() -> ExpResult {
 #[must_use]
 pub fn fig07() -> ExpResult {
     let lams: Vec<f64> = vec![10e3, 20e3, 30e3, 40e3, 50e3, 55e3, 60e3, 65e3, 70e3, 75e3];
-    let rows = parallel_sweep_with(lams, SimScratch::new, |scratch, lam| {
+    let rows = parallel_sweep(lams, |scratch, lam| {
         let params = with_key_rate(lam);
         let (lo, hi) = ts_model_us(&params, 150);
         let sim = ts_sim_us(&params, 150, 0xf17 + (lam / 1e3) as u64, scratch);
@@ -333,7 +331,7 @@ pub fn table4() -> ExpResult {
 #[must_use]
 pub fn fig10() -> ExpResult {
     let p1s: Vec<f64> = vec![0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9];
-    let rows = parallel_sweep_with(p1s, SimScratch::new, |scratch, p1| {
+    let rows = parallel_sweep(p1s, |scratch, p1| {
         let params = ModelParams::builder()
             .load(LoadDistribution::HotServer { p1 })
             .total_key_rate(80_000.0)
@@ -389,7 +387,7 @@ pub fn fig11() -> ExpResult {
             "n10000_sim_ms",
         ],
     );
-    let rows = parallel_sweep(rs.to_vec(), |miss| {
+    let rows = parallel_sweep(rs.to_vec(), |_, miss| {
         let mut row = vec![miss];
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xf1b ^ (miss * 1e6) as u64);
         for n in ns {
@@ -477,7 +475,7 @@ pub fn fig13() -> ExpResult {
         "Fig. 13 — E[T_D(N)] (ms) vs number of keys N (r=0.01, Θ(log N) growth)",
         &["n", "model_ms", "model_exact_ms", "sim_ms"],
     );
-    let rows = parallel_sweep(ns.to_vec(), |n| {
+    let rows = parallel_sweep(ns.to_vec(), |_, n| {
         let model = database::db_latency_mean(n, 0.01, facebook::DB_SERVICE_RATE);
         let exact = database::db_latency_mean_exact(n, 0.01, facebook::DB_SERVICE_RATE);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xf1d ^ n);

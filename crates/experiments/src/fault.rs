@@ -19,11 +19,9 @@
 //!   retries, and keys forced through to the database scale with the
 //!   downtime.
 
-use memlat_cluster::{
-    ClientPolicy, ClusterSim, FaultPlan, Retention, RetryPolicy, SimConfig, SimScratch,
-};
+use memlat_cluster::{ClientPolicy, ClusterSim, FaultPlan, Retention, RetryPolicy, SimConfig};
 
-use crate::{parallel_sweep_with, sim_duration, ExpResult};
+use crate::{parallel_sweep, sim_duration, ExpResult};
 
 use super::experiments::base_params;
 
@@ -50,7 +48,7 @@ pub fn fault_sweep() -> ExpResult {
 
     let factors: Vec<f64> = vec![1.0, 1.5, 2.0, 3.0, 5.0, 8.0];
     let inputs: Vec<(usize, f64)> = factors.into_iter().enumerate().collect();
-    let rows = parallel_sweep_with(inputs, SimScratch::new, |scratch, (i, factor)| {
+    let rows = parallel_sweep(inputs, |scratch, (i, factor)| {
         // Scenario 1: one slowed server, passive client.
         let slow_plan = FaultPlan::none().slowdown(0, WARMUP, horizon, factor);
         let degraded = ClusterSim::run_with(&cfg().fault_plan(slow_plan.clone()), scratch)

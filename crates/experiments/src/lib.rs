@@ -21,6 +21,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
+use memlat_cluster::SimScratch;
+
 pub mod ablations;
 pub mod delayed_hits;
 pub mod emergent_r;
@@ -194,81 +196,28 @@ pub fn request_count() -> usize {
     }
 }
 
-/// Runs sweep points in parallel with scoped threads, preserving order.
-pub fn parallel_sweep<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    parallel_sweep_with(inputs, || (), |(), input| f(input))
-}
-
-/// Worker count for figure sweeps: `MEMLAT_SWEEP_THREADS` when set to a
-/// positive integer, otherwise the available core count.
-///
-/// Every sweep point is an independent deterministic simulation with a
-/// fixed seed and the outputs are written back by input position, so the
-/// thread count changes wall-clock only — regenerated CSVs are
-/// byte-identical at any setting (the CI figure smoke diffs 1 vs 2).
-#[must_use]
-pub fn sweep_threads() -> usize {
-    if let Ok(v) = std::env::var("MEMLAT_SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Runs sweep points on a bounded worker pool (one worker per available
-/// core — or [`sweep_threads`]'s override — at most one per input),
-/// preserving input order.
-///
-/// Each worker builds its own state once via `make_state` and threads it
-/// through every point it handles — simulation sweeps pass
-/// `memlat_cluster::SimScratch::new` here so the per-key buffers are
-/// allocated once per worker and reused across sweep points instead of
-/// reallocated at every point. Worker `k` handles inputs `k`, `k + T`,
-/// `k + 2T`, … so a slow region of the sweep does not serialize one
-/// chunk.
-pub fn parallel_sweep_with<I, O, S, M, F>(inputs: Vec<I>, make_state: M, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, I) -> O + Sync,
-{
-    let threads = sweep_threads().clamp(1, inputs.len().max(1));
-    let mut outputs: Vec<Option<O>> = Vec::new();
-    outputs.resize_with(inputs.len(), || None);
-    if threads <= 1 {
-        let mut state = make_state();
-        for (input, slot) in inputs.into_iter().zip(outputs.iter_mut()) {
-            *slot = Some(f(&mut state, input));
-        }
-    } else {
-        let mut lanes: Vec<Vec<(I, &mut Option<O>)>> = Vec::new();
-        lanes.resize_with(threads, Vec::new);
-        for (k, pair) in inputs.into_iter().zip(outputs.iter_mut()).enumerate() {
-            lanes[k % threads].push(pair);
-        }
-        std::thread::scope(|scope| {
-            for lane in lanes {
-                let (f, make_state) = (&f, &make_state);
-                scope.spawn(move || {
-                    let mut state = make_state();
-                    for (input, slot) in lane {
-                        *slot = Some(f(&mut state, input));
-                    }
-                });
-            }
-        });
-    }
+/// Runs sweep points on [`memlat_cluster::pool`], at most one worker per
+/// point, preserving input order. Each worker owns one [`SimScratch`]
+/// and passes it to every point it runs, so simulation sweeps allocate
+/// their per-key buffers once per worker; a point's replications and
+/// servers run inline on its worker. Every point is a fixed-seed
+/// simulation written back by input position, so the thread count
+/// changes wall-clock only.
+pub fn parallel_sweep<I: Send, O: Send>(
+    inputs: Vec<I>,
+    f: impl Fn(&mut SimScratch, I) -> O + Sync,
+) -> Vec<O> {
+    let threads = memlat_cluster::pool::threads(0).clamp(1, inputs.len().max(1));
+    let mut scratches: Vec<SimScratch> = (0..threads).map(|_| SimScratch::new()).collect();
+    let mut outputs: Vec<Option<O>> = inputs.iter().map(|_| None).collect();
+    let Ok(()) = memlat_cluster::pool::for_each(
+        &mut scratches,
+        inputs.into_iter().zip(outputs.iter_mut()),
+        |scratch, _, (input, slot)| {
+            *slot = Some(f(scratch, input));
+            Ok::<(), std::convert::Infallible>(())
+        },
+    );
     outputs
         .into_iter()
         .map(|o| o.expect("sweep slot unfilled"))
@@ -304,42 +253,7 @@ mod tests {
 
     #[test]
     fn parallel_sweep_preserves_order() {
-        let out = parallel_sweep((0..32).collect(), |i: i32| i * i);
+        let out = parallel_sweep((0..32).collect(), |_, i: i32| i * i);
         assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_sweep_with_threads_state_through_workers() {
-        // Every worker starts its state at zero and bumps it per point;
-        // outputs stay in input order and each point sees a live state.
-        let out = parallel_sweep_with(
-            (0..64).collect::<Vec<i32>>(),
-            || 0u32,
-            |calls, i| {
-                *calls += 1;
-                (i * 2, *calls)
-            },
-        );
-        assert_eq!(out.len(), 64);
-        for (idx, &(v, calls)) in out.iter().enumerate() {
-            assert_eq!(v, idx as i32 * 2);
-            assert!(calls >= 1);
-        }
-    }
-
-    #[test]
-    fn sweep_threads_env_override() {
-        // Tests run in one process; only exercise the override when the
-        // ambient environment leaves the variable free to mutate.
-        if std::env::var_os("MEMLAT_SWEEP_THREADS").is_some() {
-            return;
-        }
-        assert!(sweep_threads() >= 1);
-        std::env::set_var("MEMLAT_SWEEP_THREADS", "3");
-        assert_eq!(sweep_threads(), 3);
-        // Zero and garbage fall back to auto-detection.
-        std::env::set_var("MEMLAT_SWEEP_THREADS", "0");
-        assert!(sweep_threads() >= 1);
-        std::env::remove_var("MEMLAT_SWEEP_THREADS");
     }
 }
