@@ -160,8 +160,8 @@ impl LruList {
     }
 
     /// Iterates from most to least recently used (O(len)).
-    #[must_use]
-    pub fn iter_order(&self, links: &[Links]) -> Vec<SlotId> {
+    #[cfg(test)]
+    fn iter_order(&self, links: &[Links]) -> Vec<SlotId> {
         let mut out = Vec::with_capacity(self.len);
         let mut cur = self.head;
         while cur != NONE {

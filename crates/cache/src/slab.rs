@@ -48,12 +48,6 @@ impl SlabClass {
     pub fn capacity(&self) -> usize {
         self.pages * self.chunks_per_page
     }
-
-    /// Free chunks in assigned pages.
-    #[must_use]
-    pub fn free_chunks(&self) -> usize {
-        self.capacity() - self.used_chunks
-    }
 }
 
 /// Outcome of an allocation attempt.
@@ -168,7 +162,7 @@ impl SlabAllocator {
 
     /// Total pages the budget allows.
     #[must_use]
-    pub fn page_budget(&self) -> usize {
+    fn page_budget(&self) -> usize {
         self.config.memory_limit / self.config.page_size
     }
 
@@ -202,12 +196,6 @@ impl SlabAllocator {
         let c = &mut self.classes[class];
         assert!(c.used_chunks > 0, "release on empty class {class}");
         c.used_chunks -= 1;
-    }
-
-    /// Bytes currently reserved (pages assigned × page size).
-    #[must_use]
-    pub fn reserved_bytes(&self) -> usize {
-        self.pages_assigned * self.config.page_size
     }
 
     /// Bytes actually in use by chunks.
@@ -270,7 +258,7 @@ mod tests {
         assert_eq!(s.allocate(class), Allocation::NeedsEviction);
         s.release(class);
         assert_eq!(s.allocate(class), Allocation::Reused);
-        assert_eq!(s.reserved_bytes(), 1 << 20);
+        assert_eq!(s.classes().iter().map(|c| c.pages).sum::<usize>(), 1);
         assert!(s.used_bytes() > 0);
     }
 

@@ -63,7 +63,7 @@ use rand::RngCore;
 use crate::{columns::KeyColumns, sim::SimOutput};
 
 /// One assembled end-user request: the value of
-/// [`RequestAssembler::draw`], which [`assemble_columns`] folds into
+/// [`RequestAssembler::draw`], which [`assemble_requests`] folds into
 /// [`RequestStats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestSample {
@@ -384,33 +384,9 @@ impl<'a> RequestAssembler<'a> {
 }
 
 /// Assembles `requests` synthetic end-user requests of `n` keys each
-/// from a simulation's per-key records.
-///
-/// # Panics
-///
-/// Panics if the run kept no per-key records ([`crate::Retention::Summary`]),
-/// if a server with a positive load share recorded no keys (run longer),
-/// or if `n == 0`.
-pub fn assemble_requests<R: RngCore + ?Sized>(
-    out: &SimOutput,
-    n: u64,
-    requests: usize,
-    rng: &mut R,
-) -> RequestStats {
-    assemble_columns(
-        out.all_records(),
-        out.shares(),
-        out.network_latency(),
-        n,
-        requests,
-        rng,
-    )
-}
-
-/// Assembles `requests` synthetic end-user requests of `n` keys each
-/// from per-server `(s, d)` columns: server `j` holds `columns[j]` and
-/// receives a `shares[j]` fraction of each request's keys, and every
-/// request pays the constant `network` latency.
+/// from a simulation's per-key records: server `j` holds the run's
+/// `records(j)` and receives its load share of each request's keys, and
+/// every request pays the run's constant network latency.
 ///
 /// Picks are uniform with replacement, and only each server's maximum is
 /// drawn (the product form of eqs. 10–12; see the module docs). Each
@@ -430,18 +406,17 @@ pub fn assemble_requests<R: RngCore + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics if `shares` is not a probability vector with one entry per
-/// server, if a server with a positive share has no records, or if
-/// `n == 0`.
-pub fn assemble_columns<R: RngCore + ?Sized>(
-    columns: &[KeyColumns],
-    shares: &[f64],
-    network: f64,
+/// Panics if the run kept no per-key records ([`crate::Retention::Summary`]),
+/// if a server with a positive load share recorded no keys (run longer),
+/// or if `n == 0`.
+pub fn assemble_requests<R: RngCore + ?Sized>(
+    out: &SimOutput,
     n: u64,
     requests: usize,
     rng: &mut R,
 ) -> RequestStats {
-    let mut assembler = RequestAssembler::new(columns, shares, network, n);
+    let network = out.network_latency();
+    let mut assembler = RequestAssembler::new(out.all_records(), out.shares(), network, n);
     RequestStats::fold(network, (0..requests).map(|_| assembler.draw(rng)))
 }
 

@@ -20,8 +20,8 @@
 //!   **forced miss**.
 //! * **Slowdown** — an attempt *arriving* inside the window has its
 //!   service time multiplied by the window's factor (> 1 degrades, < 1
-//!   would model a speedup). The key is tagged `degraded` so latency
-//!   can be split by window.
+//!   would model a speedup). The scheduled slow seconds are reported
+//!   as `degraded_time`.
 //! * **Timeout** — an attempt whose sojourn exceeds the timeout is
 //!   abandoned at `arrival + timeout` (the server still wastes the full
 //!   service time — work the client no longer wants, exactly the
@@ -219,12 +219,6 @@ impl ServerFaults {
             .map_or(1.0, |&(_, f)| f)
     }
 
-    /// Whether `t` falls inside a slowdown window.
-    #[must_use]
-    pub fn degraded_at(&self, t: f64) -> bool {
-        self.slow.iter().any(|(w, _)| w.contains(t))
-    }
-
     /// Scheduled crash seconds within `[0, horizon)`.
     #[must_use]
     pub fn downtime(&self, horizon: f64) -> f64 {
@@ -401,7 +395,7 @@ mod tests {
         let s1 = plan.for_server(1);
         assert!(!s1.crashed_at(1.0));
         assert_eq!(s1.slow_factor_at(1.0), 3.0);
-        assert!(s1.degraded_at(0.5) && !s1.degraded_at(1.5));
+        assert_eq!(s1.slow_factor_at(1.5), 1.0);
         assert!((s1.degraded_time(1.0) - 0.5).abs() < 1e-12);
 
         assert!(FaultPlan::none().is_empty());

@@ -10,7 +10,11 @@ use memlat_stats::{ConfidenceInterval, QuantileSketch, StreamingStats};
 use rand::SeedableRng;
 
 use crate::sim::{ClusterSim, SimScratch};
-use crate::{assembly::assemble_requests, config::SimConfig, SimError};
+use crate::{
+    assembly::assemble_requests,
+    config::{Retention, SimConfig},
+    SimError,
+};
 
 /// Per-replication summary statistics aggregated over seeds.
 ///
@@ -44,18 +48,27 @@ pub struct ReplicatedStats {
 ///
 /// # Errors
 ///
-/// [`SimError::InvalidConfig`] for zero replications (there is nothing
-/// to estimate); otherwise the lowest failing replication's error.
+/// [`SimError::InvalidConfig`] when there is nothing to estimate or no
+/// interval to report: fewer than two replications (a Student-t interval
+/// needs `df ≥ 1`), zero keys per request, zero requests per replication,
+/// [`Retention::Summary`] (assembly reads the per-key records), or a
+/// replication in which a server with a positive load share recorded no
+/// keys (run longer). Otherwise the lowest failing replication's error.
 pub fn run_replications(
     cfg: &SimConfig,
     n: u64,
     replications: usize,
     requests_per_rep: usize,
 ) -> Result<ReplicatedStats, SimError> {
-    if replications == 0 {
-        return Err(SimError::InvalidConfig(
-            "run_replications needs at least one replication".into(),
-        ));
+    let invalid = |why: &str| SimError::InvalidConfig(format!("run_replications: {why}"));
+    if replications < 2 {
+        return Err(invalid("needs two or more replications"));
+    }
+    if n == 0 || requests_per_rep == 0 {
+        return Err(invalid("needs n > 0 and requests_per_rep > 0"));
+    }
+    if cfg.retention == Retention::Summary {
+        return Err(invalid("request assembly needs Retention::Full"));
     }
     let threads = cfg.effective_threads().min(replications);
     let mut scratches: Vec<SimScratch> = (0..threads).map(|_| SimScratch::new()).collect();
@@ -64,6 +77,10 @@ pub fn run_replications(
         let seed = memlat_des::rng::splitmix64(cfg.seed ^ (rep as u64 + 1));
         let cfg = cfg.clone().seed(seed);
         let out = ClusterSim::run_with(&cfg, scratch)?;
+        let mut idle = out.shares().iter().zip(out.summaries());
+        if let Some(j) = idle.position(|(&p, s)| p > 0.0 && s.counters.jobs == 0) {
+            return Err(invalid(&format!("server {j} recorded no keys; run longer")));
+        }
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xa55e);
         let stats = assemble_requests(&out, n, requests_per_rep, &mut rng);
         *slot = Some(RepResult {
@@ -155,12 +172,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_replications_is_an_error_not_an_estimate() {
+    fn inputs_without_an_estimate_are_errors() {
         let params = ModelParams::builder().build().unwrap();
         let cfg = SimConfig::new(params).duration(0.2).seed(7);
-        assert!(matches!(
-            run_replications(&cfg, 150, 0, 2_000),
-            Err(SimError::InvalidConfig(_))
-        ));
+        let summary = cfg.clone().retention(Retention::Summary);
+        let no_keys = cfg.clone().duration(1e-7);
+        for (cfg, n, reps, requests, why) in [
+            (&cfg, 150, 0, 2_000, "two or more replications"),
+            (&cfg, 150, 1, 2_000, "two or more replications"),
+            (&cfg, 0, 2, 2_000, "n > 0"),
+            (&cfg, 150, 2, 0, "requests_per_rep > 0"),
+            (&summary, 150, 2, 2_000, "Retention::Full"),
+            (&no_keys, 150, 2, 2_000, "recorded no keys"),
+        ] {
+            match run_replications(cfg, n, reps, requests) {
+                Err(SimError::InvalidConfig(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{why}: {other:?}"),
+            }
+        }
     }
 }

@@ -66,8 +66,6 @@ pub struct KeyRecord {
     /// Whether the key exhausted every attempt (timeouts/refusals) and
     /// fell through to the database — a forced miss. Zero on healthy runs.
     pub forced: bool,
-    /// Whether the served attempt arrived inside a slowdown window.
-    pub degraded: bool,
 }
 
 /// The streaming aggregates of one server's run.
@@ -127,8 +125,8 @@ pub struct ServerSimParams<'a> {
 
 /// A resolved block of keys, structure-of-arrays: lane `i` of every
 /// slice describes the same key, in arrival order. Blocks are only
-/// produced on healthy fixed-ratio runs, so every key is first-attempt,
-/// never forced, never degraded.
+/// produced on healthy fixed-ratio runs, so every key is first-attempt
+/// and never forced.
 #[derive(Debug)]
 pub struct KeyBlock<'a> {
     /// Arrival times.
@@ -180,7 +178,6 @@ pub trait RecordSink {
                 // carries no key identity.
                 key: NO_KEY,
                 forced: false,
-                degraded: false,
             });
         }
     }
@@ -344,7 +341,6 @@ fn fail_attempt<S: RecordSink, R: RngCore>(
             // coalesces.
             key: NO_KEY,
             forced: true,
-            degraded: false,
         });
     }
 }
@@ -373,11 +369,9 @@ fn process_attempt<S: RecordSink, R: RngCore>(
         fail_attempt(t, key, st, env, rng);
         return;
     }
-    let mut svc = -memlat_dist::simd::dln(memlat_dist::open_unit(rng)) / env.service_rate;
-    let degraded = env.faults.degraded_at(t);
-    if degraded {
-        svc *= env.faults.slow_factor_at(t);
-    }
+    // Outside every slowdown window the factor is exactly 1.
+    let svc = -memlat_dist::simd::dln(memlat_dist::open_unit(rng)) / env.service_rate
+        * env.faults.slow_factor_at(t);
     let done = st.station.submit(t, svc);
     if let Some(timeout) = env.client.timeout {
         if done.sojourn() > timeout {
@@ -402,7 +396,6 @@ fn process_attempt<S: RecordSink, R: RngCore>(
             missed,
             key: key_id,
             forced: false,
-            degraded,
         });
     } else if env.cache_backed {
         // Let the cache warm during warm-up without recording.
@@ -742,7 +735,6 @@ fn lru_lanes<S: RecordSink, R: RngCore + Clone>(
                 missed,
                 key: scratch.keys[i],
                 forced: false,
-                degraded: false,
             });
         }
         if done {
@@ -846,7 +838,7 @@ mod tests {
         );
         // A healthy run observes no resilience activity at all.
         assert!(!run.resilience.any());
-        assert!(records.iter().all(|r| !r.forced && !r.degraded));
+        assert!(records.iter().all(|r| !r.forced));
     }
 
     #[test]
@@ -1087,16 +1079,18 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_scales_latency_and_tags_degraded() {
+    fn slowdown_scales_latency_inside_the_window() {
         let (base, _) = facebook_run(0.5, 8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let mut p = healthy_params(0.5);
         p.faults = FaultPlan::none().slowdown(0, 0.3, 0.5, 4.0).for_server(0);
         let (records, slow) = collect(p, &mut rng);
-        // Same seed, same draws: every key resolves, latency can only
-        // grow, and keys inside the window are tagged.
+        // Same seed, same draws: every key resolves and latency can only
+        // grow. With no retries a key's only attempt arrives with it, so
+        // the keys served slowly are those arriving inside the window.
+        let in_window = |r: &KeyRecord| (0.3..0.5).contains(&r.arrival);
         assert_eq!(records.len(), base.len());
-        assert!(records.iter().any(|r| r.degraded));
+        assert!(records.iter().any(in_window));
         assert!(records
             .iter()
             .zip(&base)
@@ -1109,7 +1103,7 @@ mod tests {
                 .collect();
             lats.iter().sum::<f64>() / lats.len() as f64
         };
-        let degraded_mean = mean_of(&|r| r.degraded);
+        let degraded_mean = mean_of(&in_window);
         // Post-window keys inherit the residual backlog, so the clean
         // comparison is against keys that arrived *before* the window.
         let pre_window_mean = mean_of(&|r| r.arrival < 0.3);

@@ -19,13 +19,13 @@
 //!
 //! The per-key hot path is **streaming and block-batched**: each
 //! server's resolved keys flow from [`simulate_server_streaming_with`]
-//! straight into the server's Welford summaries and its worker's one
-//! latency sketch and miss buffer (and, only when the retention policy
-//! or hedging needs them, into reusable [`KeyColumns`] buffers), a
-//! [`SimConfig::effective_block`]-sized lane block at a time on
-//! eligible runs. Under [`Retention::Summary`] without hedging, peak
-//! memory is one fixed-size [`ServerSummary`] per server, one block
-//! scratch and one sketch per worker thread, the state of the server
+//! straight into the server's one Welford latency summary and its
+//! worker's one latency sketch and miss buffer (and, only when the
+//! retention policy or hedging needs them, into reusable [`KeyColumns`]
+//! buffers), a [`SimConfig::effective_block`]-sized lane block at a
+//! time on eligible runs. Under [`Retention::Summary`] without hedging,
+//! peak memory is one fixed-size [`ServerSummary`] (160 B) per server,
+//! one block scratch and one sketch per worker thread, the state of the server
 //! each worker is running (its FCFS station is three numbers, however
 //! long the queue; a cache-backed server adds its store), and the miss
 //! stream (one entry per missed key). Hedging keeps every server's
@@ -64,14 +64,10 @@ pub struct ClusterSim;
 /// of the [`Retention`] policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerSummary {
-    /// Welford statistics of the per-key server latency `s`.
+    /// Welford statistics of the per-key server latency `s` over every
+    /// recorded key, forced misses included; post-hedge on hedged runs,
+    /// folded from the same `f32` column the pooled sketch reads.
     pub latency: StreamingStats,
-    /// Welford statistics of `s` over keys served inside a slowdown
-    /// window (empty on healthy runs).
-    pub degraded_latency: StreamingStats,
-    /// Welford statistics of `s` over keys served outside any slowdown
-    /// window (equals [`Self::latency`] on healthy runs).
-    pub healthy_latency: StreamingStats,
     /// Keys recorded and keys missed over the measured window.
     pub counters: ServerCounters,
     /// Fault and client-resilience counters (all zero on healthy runs).
@@ -93,8 +89,6 @@ impl ServerSummary {
     fn empty() -> Self {
         Self {
             latency: StreamingStats::new(),
-            degraded_latency: StreamingStats::new(),
-            healthy_latency: StreamingStats::new(),
             counters: ServerCounters::default(),
             resilience: ResilienceCounters::default(),
             coalesce: CoalesceCounters::default(),
@@ -104,18 +98,15 @@ impl ServerSummary {
     }
 }
 
-const FLAG_FORCED: u8 = 1;
-const FLAG_DEGRADED: u8 = 2;
-
 /// One server's reusable per-key buffers, populated only when the
 /// retention policy or hedging needs them.
 #[derive(Debug, Default)]
 struct ServerCell {
     /// `(s, d)` columns in arrival order (db latency filled in later).
     cols: KeyColumns,
-    /// Per-record forced/degraded flags, kept only when hedging needs to
-    /// rebuild the summaries in the hedge stage.
-    flags: Vec<u8>,
+    /// Per-record forced-miss flags, kept only when hedging: the hedge
+    /// stage never duplicates a key the cache tier already failed.
+    forced: Vec<bool>,
 }
 
 /// One worker thread's reusable state. A thread simulates its servers
@@ -143,16 +134,13 @@ struct WorkerScratch {
 struct WorkerSink<'a> {
     j: u32,
     idx: u32,
-    plain_run: bool,
     keep_pairs: bool,
     hedging: bool,
     misses: &'a mut Vec<MissArrival>,
     sketch: &'a mut QuantileSketch,
     cols: &'a mut KeyColumns,
-    flags: &'a mut Vec<u8>,
+    forced: &'a mut Vec<bool>,
     latency: StreamingStats,
-    degraded_latency: StreamingStats,
-    healthy_latency: StreamingStats,
 }
 
 impl RecordSink for WorkerSink<'_> {
@@ -171,32 +159,18 @@ impl RecordSink for WorkerSink<'_> {
         }
         self.latency.push(r.server_latency);
         self.sketch.push(r.server_latency);
-        if self.plain_run {
-            // healthy_latency == latency; copied after the run.
-        } else if r.forced {
-            // Neither split: the key was never served here.
-        } else if r.degraded {
-            self.degraded_latency.push(r.server_latency);
-        } else {
-            self.healthy_latency.push(r.server_latency);
-        }
         if self.keep_pairs {
             self.cols.push_server(r.server_latency as f32);
         }
         if self.hedging {
-            self.flags.push(
-                if r.forced { FLAG_FORCED } else { 0 } | if r.degraded { FLAG_DEGRADED } else { 0 },
-            );
+            self.forced.push(r.forced);
         }
         self.idx += 1;
     }
 
     fn record_block(&mut self, b: &KeyBlock<'_>) {
-        // Blocks only arrive on eligible runs (no faults, no timeout),
-        // which are exactly the plain runs: no forced/degraded keys, so
-        // the healthy split is the pooled stream (copied after the run)
-        // and every hedge flag is zero.
-        debug_assert!(self.plain_run);
+        // Blocks only arrive on eligible runs (no faults, no timeout):
+        // no key is forced.
         for (i, &missed) in b.missed.iter().enumerate() {
             if missed {
                 self.misses.push(MissArrival {
@@ -213,7 +187,7 @@ impl RecordSink for WorkerSink<'_> {
             self.cols.extend_server(b.latency);
         }
         if self.hedging {
-            self.flags.resize(self.flags.len() + b.len(), 0);
+            self.forced.resize(self.forced.len() + b.len(), false);
         }
         self.idx += b.len() as u32;
     }
@@ -519,9 +493,9 @@ impl<'a> Plan<'a> {
         cell: &mut ServerCell,
         ws: &mut WorkerScratch,
     ) -> Result<ServerSummary, SimError> {
-        let ServerCell { cols, flags } = cell;
+        let ServerCell { cols, forced } = cell;
         cols.clear();
-        flags.clear();
+        forced.clear();
         let p = self.shares[j];
         if p <= 0.0 {
             return Ok(ServerSummary::empty());
@@ -534,16 +508,9 @@ impl<'a> Plan<'a> {
             .gap_law((1.0 - q) * lam_j)
             .map_err(SimError::Model)?;
         let mut rng = stream_rng(cfg.seed, 1000 + j as u64);
-        let faults = cfg.fault_plan.for_server(j);
-        // With nothing scheduled and no client timeout, no key can be
-        // forced or degraded: the healthy split would receive exactly
-        // the pooled stream, so skip the duplicate Welford update per
-        // key and copy the accumulator once after the run.
-        let plain_run = faults.is_empty() && cfg.client.timeout.is_none();
         let mut sink = WorkerSink {
             j: j as u32,
             idx: 0,
-            plain_run,
             // The per-key columns are needed for the output (Full
             // retention) and for the hedge stage's replica populations;
             // otherwise the run is fully streaming.
@@ -552,10 +519,8 @@ impl<'a> Plan<'a> {
             misses: &mut ws.misses,
             sketch: &mut ws.sketch,
             cols,
-            flags,
+            forced,
             latency: StreamingStats::new(),
-            degraded_latency: StreamingStats::new(),
-            healthy_latency: StreamingStats::new(),
         };
         let stats = simulate_server_streaming_with(
             ServerSimParams {
@@ -571,7 +536,7 @@ impl<'a> Plan<'a> {
                 }),
                 warmup: cfg.warmup,
                 duration: cfg.duration,
-                faults,
+                faults: cfg.fault_plan.for_server(j),
                 client: cfg.client,
                 block: self.block,
             },
@@ -580,19 +545,8 @@ impl<'a> Plan<'a> {
             &mut sink,
         )
         .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-        let WorkerSink {
-            latency,
-            degraded_latency,
-            mut healthy_latency,
-            ..
-        } = sink;
-        if plain_run {
-            healthy_latency = latency;
-        }
         Ok(ServerSummary {
-            latency,
-            degraded_latency,
-            healthy_latency,
+            latency: sink.latency,
             counters: stats.counters,
             resilience: stats.resilience,
             // Filled in by the coalescing database stage.
@@ -663,8 +617,11 @@ fn cached<K: Copy + PartialEq, T, E: std::fmt::Display>(
 /// servers stage, so the thread count still cannot change the output. A
 /// key whose primary latency exceeded `delay` draws a duplicate attempt
 /// from the replica server `(j + 1) mod M`'s *pre-hedge* latency
-/// population and keeps `min(primary, delay + replica)`. Returns the
-/// pooled sketch, rebuilt from every server's post-hedge records.
+/// population and keeps `min(primary, delay + replica)`. Every server's
+/// `latency` summary and the returned pooled sketch are then folded from
+/// its post-hedge `f32` column, so the two always describe the same
+/// values, also for a server whose replica recorded no keys (its keys
+/// draw no duplicates).
 fn hedge_stage(
     seed: u64,
     delay: f64,
@@ -679,18 +636,12 @@ fn hedge_stage(
     for (j, summary) in summaries.iter_mut().enumerate() {
         let (done, rest) = cells.split_at_mut(j + 1);
         let replica = rest.first().map_or(pristine.as_slice(), |c| c.cols.s());
-        if replica.is_empty() {
-            continue;
-        }
         let mut rng = stream_rng(seed, 3_000_000 + j as u64);
-        let ServerCell { cols, flags } = &mut done[j];
+        let ServerCell { cols, forced } = &mut done[j];
         let mut latency = StreamingStats::new();
-        let mut degraded_latency = StreamingStats::new();
-        let mut healthy_latency = StreamingStats::new();
-        for (slot, &flag) in cols.s_mut().iter_mut().zip(flags.iter()) {
-            let forced = flag & FLAG_FORCED != 0;
+        for (slot, &forced) in cols.s_mut().iter_mut().zip(forced.iter()) {
             let mut s = f64::from(*slot);
-            if !forced && s > delay {
+            if !forced && s > delay && !replica.is_empty() {
                 summary.resilience.hedges_sent += 1;
                 let k = (rng.next_u64() % replica.len() as u64) as usize;
                 let (eff, _) = hedge_outcome(s, delay, f64::from(replica[k]));
@@ -704,17 +655,9 @@ fn hedge_stage(
                 }
             }
             latency.push(s);
-            if forced {
-            } else if flag & FLAG_DEGRADED != 0 {
-                degraded_latency.push(s);
-            } else {
-                healthy_latency.push(s);
-            }
         }
-        // The summaries describe the effective (post-hedge) latencies.
+        // The summary describes the effective (post-hedge) latencies.
         summary.latency = latency;
-        summary.degraded_latency = degraded_latency;
-        summary.healthy_latency = healthy_latency;
     }
     let mut sketch = QuantileSketch::new();
     for cell in cells.iter() {
@@ -1129,10 +1072,6 @@ mod tests {
         let out = quick(6);
         assert!(!out.resilience().any());
         assert_eq!(out.forced_miss_ratio(), 0.0);
-        for s in out.summaries() {
-            assert_eq!(s.degraded_latency.count(), 0);
-            assert_eq!(s.healthy_latency.count(), s.latency.count());
-        }
     }
 
     #[test]
@@ -1159,11 +1098,13 @@ mod tests {
         assert!(total.retries > 0, "no retries were issued");
         assert!((total.downtime - 0.1).abs() < 1e-12);
         assert!((total.degraded_time - 0.2).abs() < 1e-12);
-        // Only the crashed server refused; only the slowed one split.
+        // Only the crashed server refused; only the slowed one degraded.
         assert_eq!(out.summary(0).resilience.refused, 0);
         assert!(out.summary(1).resilience.refused > 0);
-        assert!(out.summary(2).degraded_latency.count() > 0);
-        assert_eq!(out.summary(0).degraded_latency.count(), 0);
+        assert!((out.summary(2).resilience.degraded_time - 0.2).abs() < 1e-12);
+        for j in [0, 1, 3] {
+            assert_eq!(out.summary(j).resilience.degraded_time, 0.0);
+        }
         // Forced misses carry a db latency like regular misses, so the
         // db stage saw misses + forced keys.
         assert_eq!(
@@ -1231,9 +1172,9 @@ mod tests {
     #[test]
     fn hedged_pooled_sketch_matches_post_hedge_records() {
         // Server 1 has no keys, so server 0's replica population is empty
-        // and the hedge pass leaves its records alone; the pooled sketch
-        // must still count every server's post-hedge records, server 0's
-        // included.
+        // and the hedge pass draws no duplicates for it; the pooled sketch
+        // and every server's latency summary must still be folded from
+        // its post-hedge records, server 0's included.
         use crate::fault::{ClientPolicy, FaultPlan};
         let params = ModelParams::builder()
             .load(memlat_model::LoadDistribution::Custom(vec![
@@ -1254,7 +1195,11 @@ mod tests {
         assert!(out.records(1).is_empty());
         let mut want = QuantileSketch::new();
         for j in 0..4 {
-            want.extend(out.records(j).s().iter().map(|&s| f64::from(s)));
+            let column = out.records(j).s().iter().map(|&s| f64::from(s));
+            want.extend(column.clone());
+            let mut latency = StreamingStats::new();
+            column.for_each(|s| latency.push(s));
+            assert_eq!(out.summary(j).latency, latency, "server {j}");
         }
         assert_eq!(out.pooled_latency_sketch(), &want);
         assert_eq!(out.pooled_latency_sketch().count(), out.total_keys());

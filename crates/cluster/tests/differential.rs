@@ -63,13 +63,15 @@ const GOLDEN_FIXED_FNV: u64 = 0x3af6_61dd_e724_d184;
 /// scalar attempt path.
 const GOLDEN_LRU_FNV: u64 = 0xe3a7_b621_2d8f_a39a;
 
-/// [`fnv1a_hedged`] of the `hedged` row's reference run, captured before
-/// the hedge pass stopped copying every server's pre-hedge column.
-const GOLDEN_HEDGED_FNV: u64 = 0xb5e3_0f34_ca75_511b;
+/// [`fnv1a_hedged`] of the `hedged` row's reference run, re-captured
+/// when the hash narrowed to one latency summary per server, on the
+/// simulator that still kept the healthy/degraded split (the value the
+/// split-free simulator must reproduce).
+const GOLDEN_HEDGED_FNV: u64 = 0xfb25_f749_df90_06f8;
 
 /// [`fnv1a_hedged`] of the `hedged_slow_replica` row's reference run,
 /// captured at the same commit.
-const GOLDEN_HEDGED_SLOW_REPLICA_FNV: u64 = 0xa3e4_ef73_4140_d632;
+const GOLDEN_HEDGED_SLOW_REPLICA_FNV: u64 = 0x1efd_52c3_5a71_1871;
 
 /// Folds `v`'s eight little-endian bytes into the FNV-1a state `h`.
 fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
@@ -299,8 +301,6 @@ fn materialized(cfg: &SimConfig) -> Fingerprint {
         }
         summaries.push(ServerSummary {
             latency,
-            degraded_latency: StreamingStats::new(),
-            healthy_latency: latency,
             counters: stats.counters,
             resilience: stats.resilience,
             coalesce: CoalesceCounters {
@@ -360,17 +360,15 @@ fn fnv1a_lru(fp: &Fingerprint) -> u64 {
 }
 
 /// [`fnv1a_records`]-seeded FNV-1a over what the hedge pass rewrites:
-/// each server's three latency summaries and hedge counters, then the
+/// each server's latency summary and hedge counters, then the
 /// pooled sketch (count, bin count and a quantile ladder).
 fn fnv1a_hedged(fp: &Fingerprint) -> u64 {
     let mut h = fp.records.expect("the hedged golden keeps records");
     let mut eat = |v: u64| h = fnv1a_u64(h, v);
     for s in &fp.summaries {
-        for st in [&s.latency, &s.degraded_latency, &s.healthy_latency] {
-            eat(st.count());
-            eat(st.mean().to_bits());
-            eat(st.population_variance().to_bits());
-        }
+        eat(s.latency.count());
+        eat(s.latency.mean().to_bits());
+        eat(s.latency.population_variance().to_bits());
         eat(s.resilience.hedges_sent);
         eat(s.resilience.hedges_won);
     }

@@ -84,16 +84,6 @@ fn render_csv(out: &SimOutput) -> String {
         );
         let _ = writeln!(
             csv,
-            "server,{j},degraded_count,{}",
-            s.degraded_latency.count()
-        );
-        let _ = writeln!(
-            csv,
-            "server,{j},healthy_count,{}",
-            s.healthy_latency.count()
-        );
-        let _ = writeln!(
-            csv,
             "server,{j},utilization,{:016x}",
             s.utilization.to_bits()
         );

@@ -100,7 +100,7 @@ impl GapLaw {
     /// The inner law as a `&dyn Continuous` (for solvers that take the
     /// trait object).
     #[must_use]
-    pub fn as_dyn(&self) -> &dyn Continuous {
+    fn as_dyn(&self) -> &dyn Continuous {
         match self {
             GapLaw::Exponential(d) => d,
             GapLaw::GeneralizedPareto(d) => d,

@@ -39,7 +39,7 @@ pub struct FactorImpact {
 impl FactorImpact {
     /// Relative improvement, `(before − after)/before`.
     #[must_use]
-    pub fn relative_gain(&self) -> f64 {
+    fn relative_gain(&self) -> f64 {
         if self.before <= 0.0 {
             0.0
         } else {

@@ -27,7 +27,7 @@ pub const DELTA_STAR: f64 = 0.80;
 /// # Errors
 ///
 /// Propagates solver errors; `ρ ≥ 1` is unstable.
-pub fn delta_at_utilization(pattern: ArrivalPattern, rho: f64, q: f64) -> Result<f64, ModelError> {
+fn delta_at_utilization(pattern: ArrivalPattern, rho: f64, q: f64) -> Result<f64, ModelError> {
     if !(rho.is_finite() && rho > 0.0 && rho < 1.0) {
         return Err(ModelError::InvalidParam(format!(
             "utilization must be in (0,1), got {rho}"
@@ -40,32 +40,14 @@ pub fn delta_at_utilization(pattern: ArrivalPattern, rho: f64, q: f64) -> Result
     Ok(delta)
 }
 
-/// The cliff utilization `ρ_S(ξ)` for a Generalized-Pareto workload with
-/// burst degree `ξ` — the paper's Proposition 2 / Table 4 quantity.
-///
-/// Computed by bisecting `δ(ρ) = threshold`.
+/// The utilization at which `δ(ρ)` crosses `threshold` for a
+/// Generalized-Pareto workload with burst degree `ξ`, by bisection.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::InvalidParam`] for `ξ ∉ [0, 1)`, `q ∉ [0, 1)`
 /// or a threshold outside `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use memlat_model::cliff::{cliff_utilization_with_threshold, DELTA_STAR};
-/// # fn main() -> Result<(), memlat_model::ModelError> {
-/// // Facebook workload (ξ = 0.15): paper reports ≈75%.
-/// let rho = cliff_utilization_with_threshold(0.15, 0.1, DELTA_STAR)?;
-/// assert!((rho - 0.75).abs() < 0.06);
-/// # Ok(())
-/// # }
-/// ```
-pub fn cliff_utilization_with_threshold(
-    xi: f64,
-    q: f64,
-    threshold: f64,
-) -> Result<f64, ModelError> {
+fn cliff_utilization_with_threshold(xi: f64, q: f64, threshold: f64) -> Result<f64, ModelError> {
     if !(threshold.is_finite() && threshold > 0.0 && threshold < 1.0) {
         return Err(ModelError::InvalidParam(format!(
             "delta threshold must be in (0,1), got {threshold}"
@@ -86,12 +68,25 @@ pub fn cliff_utilization_with_threshold(
     Ok(0.5 * (lo + hi))
 }
 
-/// [`cliff_utilization_with_threshold`] with the calibrated
-/// [`DELTA_STAR`].
+/// The cliff utilization `ρ_S(ξ)` for a Generalized-Pareto workload with
+/// burst degree `ξ` — the paper's Proposition 2 / Table 4 quantity: where
+/// `δ(ρ)` crosses the calibrated [`DELTA_STAR`].
 ///
 /// # Errors
 ///
-/// Same as [`cliff_utilization_with_threshold`].
+/// Returns [`ModelError::InvalidParam`] for `ξ ∉ [0, 1)` or `q ∉ [0, 1)`.
+///
+/// # Examples
+///
+/// ```
+/// use memlat_model::cliff::cliff_utilization;
+/// # fn main() -> Result<(), memlat_model::ModelError> {
+/// // Facebook workload (ξ = 0.15): paper reports ≈75%.
+/// let rho = cliff_utilization(0.15, 0.1)?;
+/// assert!((rho - 0.75).abs() < 0.06);
+/// # Ok(())
+/// # }
+/// ```
 pub fn cliff_utilization(xi: f64, q: f64) -> Result<f64, ModelError> {
     cliff_utilization_with_threshold(xi, q, DELTA_STAR)
 }

@@ -18,18 +18,6 @@ pub fn prob_no_miss(n: u64, r: f64) -> f64 {
     (1.0 - r).powi(n.min(i32::MAX as u64) as i32)
 }
 
-/// Expected number of missed keys given at least one miss (paper eq. 18):
-/// `E[K | K > 0] = N·r / (1 − (1−r)^N)`.
-#[must_use]
-pub fn mean_misses_given_any(n: u64, r: f64) -> f64 {
-    let p_any = 1.0 - prob_no_miss(n, r);
-    if p_any <= 0.0 {
-        0.0
-    } else {
-        n as f64 * r / p_any
-    }
-}
-
 /// The paper's estimate of the expected database stage latency (eq. 23):
 ///
 /// ```text
@@ -60,23 +48,6 @@ pub fn db_latency_mean(n: u64, r: f64, mu_d: f64) -> f64 {
         return 0.0;
     }
     p_any / mu_d * (n as f64 * r / p_any + 1.0).ln()
-}
-
-/// The paper's conditional estimate `E[T_D(N) | K]` (eq. 21):
-/// `ln(K + 1)/μ_D`.
-#[must_use]
-pub fn db_latency_given_misses(k: u64, mu_d: f64) -> f64 {
-    debug_assert!(mu_d > 0.0);
-    (k as f64 + 1.0).ln() / mu_d
-}
-
-/// **Exact** expected maximum of `K` i.i.d. `Exp(μ_D)` variables:
-/// `H_K/μ_D` (harmonic number) — the quantity eq. 21 approximates by
-/// `ln(K+1)/μ_D`.
-#[must_use]
-pub fn db_latency_given_misses_exact(k: u64, mu_d: f64) -> f64 {
-    debug_assert!(mu_d > 0.0);
-    harmonic(k) / mu_d
 }
 
 /// **Exact** (under the model) expected database stage latency:
@@ -196,16 +167,6 @@ mod tests {
             // The gap peaks near N·r ≈ 0.1 (Jensen on ln(K+1)): ~30%.
             assert!((a - e).abs() / e < 0.35, "n={n}: approx={a} exact={e}");
         }
-    }
-
-    #[test]
-    fn conditional_pieces() {
-        assert!((prob_no_miss(150, 0.01) - 0.221_4).abs() < 1e-3);
-        let ek = mean_misses_given_any(150, 0.01);
-        assert!((ek - 1.926_8).abs() < 1e-3, "{ek}");
-        assert_eq!(db_latency_given_misses(0, 1.0), 0.0);
-        assert_eq!(db_latency_given_misses_exact(0, 1.0), 0.0);
-        assert!((db_latency_given_misses_exact(3, 2.0) - (11.0 / 6.0) / 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -103,19 +103,6 @@ pub fn mean_latency(lambda: f64, mean_z: f64, second_moment_z: f64) -> Result<f6
     Ok((mean_z + lambda * second_moment_z / 2.0) / (1.0 + lambda * mean_z))
 }
 
-/// [`mean_latency`] for deterministic fetch latency `Z ≡ z`:
-/// `z·(1 + λ·z/2) / (1 + λ·z)`. Equals `z` at `λ = 0` and decreases
-/// toward `z/2` as `λ → ∞` — a delayed hit waits only the residual
-/// `z/2` on average, so with constant fetches coalescing lowers even
-/// the marginal mean.
-///
-/// # Errors
-///
-/// Rejects invalid rates.
-pub fn deterministic_mean_latency(lambda: f64, z: f64) -> Result<f64, ModelError> {
-    mean_latency(lambda, z, z * z)
-}
-
 /// [`mean_latency`] for exponential fetch latency `Z ~ Exp(nu)`: exactly
 /// `1/ν` for **every** `λ` (the memoryless identity — residuals of an
 /// exponential are exponential).
@@ -183,28 +170,6 @@ pub fn aggregate_dispatch_rate(rates: &[f64], mean_z: f64) -> Result<f64, ModelE
     Ok(total)
 }
 
-/// Aggregate mean database-path latency over a keyspace: the miss-rate
-/// weighted mixture of the per-key [`mean_latency`] values.
-///
-/// Returns 0 when every rate is zero.
-///
-/// # Errors
-///
-/// Same contract as [`mean_latency`].
-pub fn aggregate_mean_latency(
-    rates: &[f64],
-    mean_z: f64,
-    second_moment_z: f64,
-) -> Result<f64, ModelError> {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for &lam in rates {
-        num += lam * mean_latency(lam, mean_z, second_moment_z)?;
-        den += lam;
-    }
-    Ok(if den > 0.0 { num / den } else { 0.0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,18 +191,15 @@ mod tests {
 
     #[test]
     fn deterministic_fetch_mean_decreases_with_lambda() {
-        // Delayed hits wait on average z/2 < z, so the mixture mean falls
-        // from z (λ=0) toward z/2 (λ→∞).
+        // Deterministic fetches (E[Z²] = z²): delayed hits wait on average
+        // z/2 < z, so the mixture mean falls from z (λ=0) toward z/2 (λ→∞).
         let z = 10e-3;
-        let m0 = deterministic_mean_latency(0.0, z).unwrap();
-        let m1 = deterministic_mean_latency(100.0, z).unwrap();
-        let m2 = deterministic_mean_latency(10_000.0, z).unwrap();
+        let m0 = mean_latency(0.0, z, z * z).unwrap();
+        let m1 = mean_latency(100.0, z, z * z).unwrap();
+        let m2 = mean_latency(10_000.0, z, z * z).unwrap();
         assert!((m0 - z).abs() < 1e-15);
         assert!(m1 < m0 && m2 < m1, "{m0} {m1} {m2}");
         assert!(m2 > z / 2.0);
-        // Matches the general formula with E[Z²] = z².
-        let general = mean_latency(100.0, z, z * z).unwrap();
-        assert!((m1 - general).abs() < 1e-18);
     }
 
     #[test]
@@ -267,8 +229,6 @@ mod tests {
         assert!((f - delayed_fraction(lam, mean_z).unwrap()).abs() < 1e-15);
         let d = aggregate_dispatch_rate(&[lam], mean_z).unwrap();
         assert!((d - dispatch_rate(lam, mean_z).unwrap()).abs() < 1e-15);
-        let m = aggregate_mean_latency(&[lam], mean_z, 2.0 * mean_z * mean_z).unwrap();
-        assert!((m - mean_latency(lam, mean_z, 2.0 * mean_z * mean_z).unwrap()).abs() < 1e-15);
     }
 
     #[test]
@@ -288,10 +248,6 @@ mod tests {
         assert!(d < total, "coalescing must shed dispatches");
         // Zero traffic: zero everything, no division blowup.
         assert_eq!(aggregate_delayed_fraction(&[0.0], mean_z).unwrap(), 0.0);
-        assert_eq!(
-            aggregate_mean_latency(&[], mean_z, mean_z * mean_z).unwrap(),
-            0.0
-        );
     }
 
     #[test]

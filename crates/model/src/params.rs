@@ -233,19 +233,6 @@ impl ModelParams {
         self.total_key_rate
     }
 
-    /// Key arrival rate at server `j`: `λ_j = p_j·Λ`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates share-resolution errors.
-    pub fn key_rate_at(&self, j: usize) -> Result<f64, ModelError> {
-        let shares = self.load.shares(self.servers)?;
-        shares
-            .get(j)
-            .map(|p| p * self.total_key_rate)
-            .ok_or_else(|| ModelError::InvalidParam(format!("no server {j}")))
-    }
-
     /// Concurrency probability `q`.
     #[must_use]
     pub fn concurrency(&self) -> f64 {
@@ -548,7 +535,6 @@ mod tests {
         assert_eq!(p.miss_ratio(), 0.01);
         assert_eq!(p.db_service_rate(), 1_000.0);
         assert_eq!(p.total_key_rate(), 250_000.0);
-        assert!((p.key_rate_at(0).unwrap() - 62_500.0).abs() < 1e-9);
         assert!((p.peak_utilization().unwrap() - 0.781_25).abs() < 1e-9);
     }
 

@@ -68,82 +68,6 @@ fn adaptive_step<F: Fn(f64) -> f64>(
     }
 }
 
-/// 20-point Gauss–Legendre abscissae on `[-1, 1]` (positive half; the rule
-/// is symmetric).
-const GL20_X: [f64; 10] = [
-    0.076_526_521_133_497_32,
-    0.227_785_851_141_645_1,
-    0.373_706_088_715_419_56,
-    0.510_867_001_950_827_1,
-    0.636_053_680_726_515_1,
-    0.746_331_906_460_150_8,
-    0.839_116_971_822_218_8,
-    0.912_234_428_251_326,
-    0.963_971_927_277_913_8,
-    0.993_128_599_185_094_9,
-];
-const GL20_W: [f64; 10] = [
-    0.152_753_387_130_725_85,
-    0.149_172_986_472_603_75,
-    0.142_096_109_318_382_05,
-    0.131_688_638_449_176_63,
-    0.118_194_531_961_518_42,
-    0.101_930_119_817_240_44,
-    0.083_276_741_576_704_75,
-    0.062_672_048_334_109_06,
-    0.040_601_429_800_386_94,
-    0.017_614_007_139_152_12,
-];
-
-/// Fixed 20-point Gauss–Legendre quadrature of `f` over `[a, b]`.
-///
-/// Exact for polynomials up to degree 39; used as the panel rule inside
-/// [`integrate_panels`].
-///
-/// # Examples
-///
-/// ```
-/// use memlat_numerics::integrate::gauss_legendre;
-/// let v = gauss_legendre(|x| x * x, 0.0, 3.0);
-/// assert!((v - 9.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> f64 {
-    let c = 0.5 * (a + b);
-    let h = 0.5 * (b - a);
-    let mut acc = 0.0;
-    for i in 0..10 {
-        let dx = h * GL20_X[i];
-        acc += GL20_W[i] * (f(c - dx) + f(c + dx));
-    }
-    acc * h
-}
-
-/// Integrates `f` over `[a, b]` by splitting into `n` equal panels, each
-/// handled by the 20-point Gauss–Legendre rule.
-///
-/// Preferable to a single high-order rule when the integrand has a sharp
-/// feature (e.g. `e^{-st}` against a heavy-tailed density).
-///
-/// # Examples
-///
-/// ```
-/// use memlat_numerics::integrate::integrate_panels;
-/// let v = integrate_panels(|x: f64| (-x).exp(), 0.0, 40.0, 32);
-/// assert!((v - 1.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn integrate_panels<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> f64 {
-    let n = n.max(1);
-    let h = (b - a) / n as f64;
-    let mut acc = crate::KahanSum::new();
-    for i in 0..n {
-        let lo = a + i as f64 * h;
-        acc.add(gauss_legendre(&f, lo, lo + h));
-    }
-    acc.sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,26 +94,5 @@ mod tests {
         let fwd = adaptive_simpson(|x| x.exp(), 0.0, 1.0, 1e-12);
         let rev = adaptive_simpson(|x| x.exp(), 1.0, 0.0, 1e-12);
         assert!((fwd + rev).abs() < 1e-10);
-    }
-
-    #[test]
-    fn gauss_legendre_high_degree() {
-        // Degree-19 polynomial: exactly integrated by a 20-point rule.
-        let v = gauss_legendre(|x| x.powi(19), 0.0, 1.0);
-        assert!((v - 1.0 / 20.0).abs() < 1e-13);
-    }
-
-    #[test]
-    fn panels_exponential_tail() {
-        let v = integrate_panels(|x: f64| (-2.0 * x).exp(), 0.0, 30.0, 64);
-        assert!((v - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn panels_vs_simpson_agreement() {
-        let f = |x: f64| (1.0 + x).ln() / (1.0 + x * x);
-        let a = adaptive_simpson(f, 0.0, 5.0, 1e-12);
-        let b = integrate_panels(f, 0.0, 5.0, 64);
-        assert!((a - b).abs() < 1e-10);
     }
 }

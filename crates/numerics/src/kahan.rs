@@ -47,11 +47,6 @@ impl KahanSum {
     pub fn sum(&self) -> f64 {
         self.sum + self.compensation
     }
-
-    /// Resets the accumulator to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 impl FromIterator<f64> for KahanSum {
@@ -114,13 +109,5 @@ mod tests {
         let mut s: KahanSum = [1.0, 2.0, 3.0].into_iter().collect();
         s.extend([4.0]);
         assert_eq!(s.sum(), 10.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = KahanSum::new();
-        s.add(5.0);
-        s.reset();
-        assert_eq!(s.sum(), 0.0);
     }
 }

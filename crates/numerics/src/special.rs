@@ -6,7 +6,7 @@
 //! quantify the paper's `ln(K+1)` approximation.
 
 /// Euler–Mascheroni constant γ.
-pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
 
 /// Natural logarithm of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///

@@ -1,6 +1,6 @@
 //! Property-based tests for the numerics substrate.
 
-use memlat_numerics::integrate::{adaptive_simpson, integrate_panels};
+use memlat_numerics::integrate::adaptive_simpson;
 use memlat_numerics::kahan::compensated_sum;
 use memlat_numerics::roots::{bisect, brent, unit_fixed_point};
 use memlat_numerics::special::{gamma_p, harmonic, ln_gamma};
@@ -31,15 +31,6 @@ proptest! {
         let v = adaptive_simpson(|x| a * x + b, lo, hi, 1e-13);
         let exact = a * (hi * hi - lo * lo) / 2.0 + b * (hi - lo);
         prop_assert!((v - exact).abs() < 1e-9 * (1.0 + exact.abs()));
-    }
-
-    /// Panel quadrature is additive over adjacent intervals.
-    #[test]
-    fn panels_additive(split in 0.1f64..0.9) {
-        let f = |x: f64| (-x).exp() * (3.0 * x).sin().abs();
-        let whole = integrate_panels(f, 0.0, 1.0, 128);
-        let parts = integrate_panels(f, 0.0, split, 64) + integrate_panels(f, split, 1.0, 64);
-        prop_assert!((whole - parts).abs() < 1e-6);
     }
 
     /// Compensated summation is permutation-insensitive for benign inputs.

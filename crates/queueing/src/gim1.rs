@@ -51,37 +51,6 @@ impl GiM1 {
         })
     }
 
-    /// Constructs a queue directly from a known decay parameter.
-    ///
-    /// Useful in tests and for the M/M/1 special case where `σ = ρ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueError::InvalidParam`] unless `σ ∈ (0, 1)` and
-    /// `μ > 0`.
-    pub fn from_sigma(sigma: f64, service_rate: f64, utilization: f64) -> Result<Self, QueueError> {
-        if !(sigma.is_finite() && (0.0..1.0).contains(&sigma)) {
-            return Err(QueueError::InvalidParam(format!(
-                "sigma must be in (0,1), got {sigma}"
-            )));
-        }
-        if !(service_rate.is_finite() && service_rate > 0.0) {
-            return Err(QueueError::InvalidParam(format!(
-                "service rate must be positive, got {service_rate}"
-            )));
-        }
-        if !(utilization.is_finite() && (0.0..1.0).contains(&utilization)) {
-            return Err(QueueError::InvalidParam(format!(
-                "utilization must be in (0,1), got {utilization}"
-            )));
-        }
-        Ok(Self {
-            sigma,
-            service_rate,
-            utilization,
-        })
-    }
-
     /// The geometric decay parameter `σ` (the paper's `δ`).
     #[must_use]
     pub fn sigma(&self) -> f64 {
@@ -222,14 +191,6 @@ mod tests {
         for k in [0.2, 0.6, 0.95] {
             assert!(q.waiting_quantile(k) <= q.sojourn_quantile(k));
         }
-    }
-
-    #[test]
-    fn from_sigma_validation() {
-        assert!(GiM1::from_sigma(1.0, 1.0, 0.5).is_err());
-        assert!(GiM1::from_sigma(0.5, 0.0, 0.5).is_err());
-        assert!(GiM1::from_sigma(0.5, 1.0, 1.5).is_err());
-        assert!(GiM1::from_sigma(0.5, 1.0, 0.5).is_ok());
     }
 
     #[test]

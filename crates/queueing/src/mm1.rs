@@ -62,12 +62,6 @@ impl MM1 {
         self.arrival_rate / self.service_rate
     }
 
-    /// Arrival rate `λ`.
-    #[must_use]
-    pub fn arrival_rate(&self) -> f64 {
-        self.arrival_rate
-    }
-
     /// Service rate `μ`.
     #[must_use]
     pub fn service_rate(&self) -> f64 {
@@ -84,17 +78,6 @@ impl MM1 {
         }
     }
 
-    /// The paper's light-load approximation (eq. 19): `1 − e^{-μt}`,
-    /// i.e. the sojourn law with queueing ignored.
-    #[must_use]
-    pub fn sojourn_cdf_light_load(&self, t: f64) -> f64 {
-        if t <= 0.0 {
-            0.0
-        } else {
-            -(-self.service_rate * t).exp_m1()
-        }
-    }
-
     /// Mean sojourn time `1/((1−ρ)μ) = 1/(μ−λ)`.
     #[must_use]
     pub fn mean_sojourn(&self) -> f64 {
@@ -105,13 +88,6 @@ impl MM1 {
     #[must_use]
     pub fn mean_wait(&self) -> f64 {
         self.utilization() / (self.service_rate - self.arrival_rate)
-    }
-
-    /// Mean number in system `ρ/(1−ρ)`.
-    #[must_use]
-    pub fn mean_in_system(&self) -> f64 {
-        let rho = self.utilization();
-        rho / (1.0 - rho)
     }
 
     /// `k`-th quantile of the sojourn time.
@@ -153,26 +129,6 @@ mod tests {
         assert_eq!(q.utilization(), 0.75);
         assert_eq!(q.mean_sojourn(), 1.0);
         assert_eq!(q.mean_wait(), 0.75);
-        assert_eq!(q.mean_in_system(), 3.0);
-    }
-
-    #[test]
-    fn littles_law() {
-        let q = MM1::new(5.0, 8.0).unwrap();
-        // L = λW
-        assert!((q.mean_in_system() - q.arrival_rate() * q.mean_sojourn()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn light_load_approximation_converges() {
-        // As ρ → 0 the exact and approximate sojourn laws coincide.
-        let q = MM1::new(1.0, 1_000.0).unwrap();
-        for t in [1e-4, 1e-3, 1e-2] {
-            assert!(
-                (q.sojourn_cdf(t) - q.sojourn_cdf_light_load(t)).abs() < 2e-3,
-                "t={t}"
-            );
-        }
     }
 
     #[test]

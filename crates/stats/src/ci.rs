@@ -94,18 +94,6 @@ impl ConfidenceInterval {
         0.5 * (self.upper - self.lower)
     }
 
-    /// Half-width relative to the point estimate's magnitude
-    /// (0 when the mean is 0) — the mechanical tolerance-widening term
-    /// the conformance harness adds to its declared relative tolerances.
-    #[must_use]
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.half_width() / self.mean.abs()
-        }
-    }
-
     /// Whether `x` lies inside the interval.
     #[must_use]
     pub fn contains(&self, x: f64) -> bool {
@@ -136,14 +124,8 @@ impl fmt::Display for ConfidenceInterval {
 ///
 /// Panics unless `level ∈ (0, 1)`.
 ///
-/// # Examples
-///
-/// ```
-/// let z = memlat_stats::ci::z_value(0.95);
-/// assert!((z - 1.959_964).abs() < 1e-4);
-/// ```
 #[must_use]
-pub fn z_value(level: f64) -> f64 {
+fn z_value(level: f64) -> f64 {
     assert!(
         level > 0.0 && level < 1.0,
         "level must be in (0,1), got {level}"
@@ -164,14 +146,8 @@ pub fn z_value(level: f64) -> f64 {
 ///
 /// Panics unless `level ∈ (0, 1)` and `df ≥ 1`.
 ///
-/// # Examples
-///
-/// ```
-/// let t = memlat_stats::ci::t_value(0.95, 2);
-/// assert!((t - 4.302_653).abs() < 1e-4);
-/// ```
 #[must_use]
-pub fn t_value(level: f64, df: u64) -> f64 {
+fn t_value(level: f64, df: u64) -> f64 {
     assert!(
         level > 0.0 && level < 1.0,
         "level must be in (0,1), got {level}"
@@ -300,7 +276,6 @@ mod tests {
         let t = ConfidenceInterval::for_mean_t(&s, 0.95);
         assert_eq!(z.mean, t.mean);
         assert!(t.half_width() > 1.5 * z.half_width());
-        assert!(t.relative_half_width() > 0.0);
         // Degenerate single sample.
         let one: StreamingStats = [5.0].into_iter().collect();
         assert_eq!(ConfidenceInterval::for_mean_t(&one, 0.95).half_width(), 0.0);

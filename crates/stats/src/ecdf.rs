@@ -123,14 +123,6 @@ impl Ecdf {
         d
     }
 
-    /// Draws one sample uniformly from the stored values (bootstrap
-    /// resampling).
-    #[must_use]
-    pub fn resample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        let idx = (rng.next_u64() % self.sorted.len() as u64) as usize;
-        self.sorted[idx]
-    }
-
     /// A view of the sorted samples.
     #[must_use]
     pub fn as_sorted(&self) -> &[f64] {
@@ -207,16 +199,6 @@ mod tests {
         let e = Ecdf::from_samples(&xs);
         let d = e.ks_distance(|x| 1.0 - (-lam * x).exp());
         assert!(d < 0.02, "d={d}");
-    }
-
-    #[test]
-    fn resample_stays_in_support() {
-        let e = Ecdf::from_samples(&[1.0, 2.0, 3.0]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let x = e.resample(&mut rng);
-            assert!([1.0, 2.0, 3.0].contains(&x));
-        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub fn ks_one_sample(samples: &[f64], model_cdf: impl Fn(f64) -> f64) -> GofTest
 
 /// One-sample KS test directly from an already-built [`Ecdf`].
 #[must_use]
-pub fn ks_from_ecdf(ecdf: &Ecdf, model_cdf: impl Fn(f64) -> f64) -> GofTest {
+fn ks_from_ecdf(ecdf: &Ecdf, model_cdf: impl Fn(f64) -> f64) -> GofTest {
     let d = ecdf.ks_distance(model_cdf);
     let n = ecdf.len() as f64;
     let sqrt_n = n.sqrt();

@@ -38,7 +38,7 @@
 pub const MIN_POSITIVE: f64 = 1e-12;
 
 /// Default relative-error bound (1%).
-pub const DEFAULT_ALPHA: f64 = 0.01;
+const DEFAULT_ALPHA: f64 = 0.01;
 
 /// `raw.ceil()` clamped into `i32`, without the libm `ceil` call.
 ///
@@ -110,7 +110,7 @@ impl QuantileSketch {
     ///
     /// Panics unless `0 < alpha < 1`.
     #[must_use]
-    pub fn with_alpha(alpha: f64) -> Self {
+    fn with_alpha(alpha: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha < 1.0,
             "alpha must be in (0,1), got {alpha}"

@@ -96,7 +96,7 @@ impl StreamingStats {
 
     /// Sample standard deviation.
     #[must_use]
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 

@@ -1,6 +1,7 @@
 //! The Facebook workload preset (paper §5.1, after Atikoglu et al.).
 //!
-//! All constants the paper's basic validation uses, in one place:
+//! The paper's basic-validation workload, in one place (the network
+//! latency and `M` are `ModelParams`'s defaults):
 //!
 //! | quantity | value | source |
 //! |---|---|---|
@@ -14,7 +15,7 @@
 //! | keys per request `N` | 150 | §5.1 |
 //! | servers `M` | 4 | §5.1 |
 
-use memlat_dist::{GeneralizedPareto, LogNormal, ParamError};
+use memlat_dist::{GeneralizedPareto, ParamError};
 
 use crate::arrival::BatchArrivals;
 
@@ -22,7 +23,7 @@ use crate::arrival::BatchArrivals;
 pub const CONCURRENCY_Q: f64 = 0.1;
 
 /// Burst degree `ξ` of the Generalized Pareto inter-arrival law.
-pub const BURST_XI: f64 = 0.15;
+const BURST_XI: f64 = 0.15;
 
 /// Per-server key arrival rate `λ` (keys/s).
 pub const KEY_RATE: f64 = 62_500.0;
@@ -36,14 +37,8 @@ pub const MISS_RATIO: f64 = 0.01;
 /// Database service rate `μ_D` (keys/s; 1/μ_D = 1 ms).
 pub const DB_SERVICE_RATE: f64 = 1_000.0;
 
-/// Constant network latency (seconds), per Table 3.
-pub const NETWORK_LATENCY: f64 = 20e-6;
-
 /// Keys per end-user request `N`.
 pub const KEYS_PER_REQUEST: u64 = 150;
-
-/// Number of memcached servers `M` in the testbed.
-pub const SERVERS: usize = 4;
 
 /// The batch inter-arrival law for one server at the preset rates:
 /// Generalized Pareto with `ξ = 0.15` and batch rate `(1−q)·λ`, so the
@@ -63,16 +58,6 @@ pub fn interarrival() -> Result<GeneralizedPareto, ParamError> {
 /// Never fails for the preset constants.
 pub fn batch_arrivals() -> Result<BatchArrivals, ParamError> {
     BatchArrivals::new(interarrival()?, CONCURRENCY_Q)
-}
-
-/// Key-size law (bytes): Atikoglu et al. report a strongly peaked
-/// distribution with mean ≈ 31 B (ETC pool); modeled log-normally.
-///
-/// # Errors
-///
-/// Never fails for the preset constants.
-pub fn key_size_bytes() -> Result<LogNormal, ParamError> {
-    LogNormal::with_mean_scv(31.0, 0.5)
 }
 
 /// Value-size law (bytes): heavy-tailed with median ≈ 135 B (ETC pool);
@@ -108,8 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn size_laws_have_sane_means() {
-        assert!((key_size_bytes().unwrap().mean() - 31.0).abs() < 1e-6);
+    fn value_size_law_has_a_sane_mean() {
         assert!((value_size_bytes().unwrap().mean() - 329.0).abs() < 1e-6);
     }
 }

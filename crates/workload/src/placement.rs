@@ -16,7 +16,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Hash a key id (by its little-endian bytes).
 #[must_use]
-pub fn hash_key(key: KeyId) -> u64 {
+fn hash_key(key: KeyId) -> u64 {
     fnv1a(&key.to_le_bytes())
 }
 

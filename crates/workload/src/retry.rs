@@ -138,12 +138,6 @@ impl<T> RetryQueue<T> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// Earliest pending re-injection time, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending attempts.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -179,7 +173,6 @@ mod tests {
         let mut q = RetryQueue::new();
         q.push(1.0, 1);
         q.push(2.0, 2);
-        assert_eq!(q.peek_time(), Some(1.0));
         assert_eq!(q.pop_before(1.0), Some((1.0, 1)));
         assert_eq!(q.pop_before(1.999), None);
         assert_eq!(q.len(), 1);
