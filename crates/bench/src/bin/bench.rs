@@ -14,8 +14,16 @@
 //!     --check results/BENCH_cluster.json                       # gate
 //! cargo run --release -p memlat-bench --bin bench -- \
 //!     --digest <threads> <servers>           # determinism fingerprint
+//! cargo run --release -p memlat-bench --bin bench -- \
+//!     --lru-ring <duration> <reps>       # routed cache-backed peak RSS
 //! MEMLAT_QUICK=1 ...                                           # short profile
 //! ```
+//!
+//! `--one <rho> <retention> <duration> <reps> [block] [servers]` runs
+//! one measured scenario in this process and prints `keys= best_wall=
+//! rss=`. `--lru-ring <duration> <reps>` prints the same line for the
+//! routed cache-backed config (`memlat_bench::lru_ring_config`), whose
+//! peak RSS CI gates; `measure` does not run it.
 //!
 //! `--digest` runs one fixed scaled-cluster config at the given thread
 //! count and prints a FNV-1a fingerprint of the full streaming output;
@@ -41,10 +49,10 @@
 use std::time::Instant;
 
 use memlat_bench::{
-    calibrate_spin_rate, cluster_config, cluster_config_m, determinism_digest, peak_rss_bytes,
-    read_baseline, write_json, BenchReport, Scenario, SCALE_SERVERS, UTILIZATIONS,
+    calibrate_spin_rate, cluster_config, cluster_config_m, determinism_digest, lru_ring_config,
+    peak_rss_bytes, read_baseline, write_json, BenchReport, Scenario, SCALE_SERVERS, UTILIZATIONS,
 };
-use memlat_cluster::{ClusterSim, Retention, SimScratch};
+use memlat_cluster::{ClusterSim, Retention, SimConfig, SimScratch};
 
 /// Regression tolerance for `--check`, applied to each scenario's
 /// keys/sec ratio vs baseline *relative to the run's median ratio* —
@@ -128,23 +136,29 @@ fn run_one_server(duration: f64, reps: u32) {
 /// 0` keeps the default 4-server topology, otherwise the config comes
 /// from the server-count scaling sweep.
 fn run_one(rho: f64, retention: &str, duration: f64, reps: u32, block: usize, servers: usize) {
+    let mut cfg = if servers > 0 {
+        cluster_config_m(rho, duration, servers)
+    } else {
+        cluster_config(rho, duration)
+    };
+    if retention == "streaming" {
+        cfg = cfg.retention(Retention::Summary);
+    }
+    if block > 0 {
+        cfg = cfg.block(block);
+    }
+    run_reps(&cfg, reps);
+}
+
+/// Runs `cfg` `reps` times through one scratch and prints `keys=
+/// best_wall= rss=`.
+fn run_reps(cfg: &SimConfig, reps: u32) {
     let mut scratch = SimScratch::new();
     let mut best_wall = f64::INFINITY;
     let mut keys = 0u64;
     for _ in 0..reps {
-        let mut cfg = if servers > 0 {
-            cluster_config_m(rho, duration, servers)
-        } else {
-            cluster_config(rho, duration)
-        };
-        if retention == "streaming" {
-            cfg = cfg.retention(Retention::Summary);
-        }
-        if block > 0 {
-            cfg = cfg.block(block);
-        }
         let start = Instant::now();
-        let out = ClusterSim::run_with(&cfg, &mut scratch).expect("bench config is valid");
+        let out = ClusterSim::run_with(cfg, &mut scratch).expect("bench config is valid");
         let wall = start.elapsed().as_secs_f64();
         keys = out.total_keys();
         best_wall = best_wall.min(wall);
@@ -280,6 +294,12 @@ fn main() {
         } else {
             run_one(rho, retention, duration, reps, block, servers);
         }
+        return;
+    }
+    if let Some(i) = args.iter().position(|a| a == "--lru-ring") {
+        let duration: f64 = args[i + 1].parse().expect("duration");
+        let reps: u32 = args[i + 2].parse().expect("reps");
+        run_reps(&lru_ring_config(duration), reps);
         return;
     }
     if let Some(i) = args.iter().position(|a| a == "--digest") {

@@ -30,7 +30,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use memlat_cluster::{ClusterSim, Retention, SimConfig};
+use memlat_cluster::{
+    CacheBackedConfig, CacheRouting, ClusterSim, MissMode, MissRelay, Retention, SimConfig,
+};
 use memlat_model::ModelParams;
 
 /// The paper's base configuration, shared by benches.
@@ -94,6 +96,42 @@ pub fn cluster_config_m(rho: f64, duration: f64, servers: usize) -> SimConfig {
         .duration(duration)
         .warmup((duration * 0.1).clamp(0.002, 0.1))
         .seed(BENCH_SEED)
+}
+
+/// Builds the routed cache-backed config of `bench --lru-ring`:
+/// `sim_lru_ring`'s shape, a consistent-hash ring (128 vnodes) over
+/// four 8 MiB LRU stores under Zipf(1.4) on 10⁶ keys, with coalesced
+/// misses and Summary retention, on one thread. The key and
+/// service rates are the emergent-r grid's compressed clock; the warm-up
+/// equals the measured `duration`. Its peak RSS is dominated by the
+/// routing set-up, which is built before any server runs.
+///
+/// # Panics
+///
+/// Never for the constants below.
+#[must_use]
+pub fn lru_ring_config(duration: f64) -> SimConfig {
+    let params = ModelParams::builder()
+        .key_rate_per_server(200_000.0)
+        .service_rate(800_000.0)
+        .db_service_rate(50_000.0)
+        .build()
+        .expect("valid emergent-r params");
+    SimConfig::new(params)
+        .duration(duration)
+        .warmup(duration)
+        .db_shards(64)
+        .retention(Retention::Summary)
+        .miss_mode(MissMode::CacheBacked(CacheBackedConfig {
+            memory_bytes: 8 << 20,
+            keyspace: 1_000_000,
+            skew: 1.4,
+            mean_value_bytes: 1_000.0,
+            routing: CacheRouting::ConsistentHash { vnodes: 128 },
+        }))
+        .miss_relay(MissRelay::Coalesced)
+        .seed(BENCH_SEED)
+        .threads(1)
 }
 
 /// The determinism fingerprint: runs one fixed scaled-cluster config

@@ -318,16 +318,17 @@ impl Store {
         expires_at: Option<f64>,
         _now: f64,
     ) -> Result<(), StoreError> {
+        // Replace semantics: drop any existing copy first, also when the
+        // new value is then refused, so a failed set never leaves the
+        // old value readable (memcached unlinks it on a failed SET too).
+        if let Some(&slot) = self.index.get(&key) {
+            self.remove_slot(slot);
+        }
         let item_size = value_size + self.item_overhead;
         let class = self
             .slabs
             .class_for(item_size)
             .ok_or(StoreError::ItemTooLarge { size: item_size })?;
-
-        // Replace semantics: drop any existing copy first.
-        if let Some(&slot) = self.index.get(&key) {
-            self.remove_slot(slot);
-        }
 
         // Acquire a chunk, evicting from this class's LRU if needed.
         loop {
@@ -494,6 +495,26 @@ mod tests {
             s.set(1, 2 << 20, None, 0.0),
             Err(StoreError::ItemTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn failed_set_drops_the_old_value() {
+        let mut s = small_store();
+        s.set_with_payload(1, Bytes::from(vec![7u8; 100]), None, 0.0)
+            .unwrap();
+        assert!(s.get(1, 0.0).is_hit());
+        assert!(matches!(
+            s.set(1, 2 << 20, None, 0.0),
+            Err(StoreError::ItemTooLarge { .. })
+        ));
+        assert!(
+            s.get(1, 0.0).is_miss(),
+            "the old value outlived a failed set"
+        );
+        assert_eq!(s.len(), 0);
+        // The chunk went back: a fitting set of the same key succeeds.
+        s.set(1, 100, None, 0.0).unwrap();
+        assert!(s.get(1, 0.0).is_hit());
     }
 
     #[test]

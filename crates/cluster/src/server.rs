@@ -98,9 +98,10 @@ pub struct ServerSimParams<'a> {
     /// Miss decision mode.
     pub miss_mode: &'a MissMode,
     /// Pre-built Zipf popularity for [`MissMode::CacheBacked`] runs.
-    /// `None` builds the alias table from the mode's config; cluster
-    /// sweeps pass a shared handle so the O(keyspace) build happens once
-    /// per `(keyspace, skew)` instead of once per server per sweep point.
+    /// `None` builds one from the mode's config; cluster sweeps pass a
+    /// shared handle so the O(keyspace) alias table, built by the first
+    /// draw, is built once per `(keyspace, skew)` instead of once per
+    /// server per sweep point. Routed runs never draw from it.
     pub popularity: Option<std::sync::Arc<ZipfPopularity>>,
     /// This server's slice of the cluster's consistent-hash routing
     /// table. Required when the cache config asks for

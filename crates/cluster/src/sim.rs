@@ -230,10 +230,11 @@ pub struct SimScratch {
     pristine: Vec<f32>,
     /// The merged miss stream.
     misses: Vec<MissArrival>,
-    /// Cached Zipf popularity (alias table) keyed by
-    /// `(keyspace, skew bits)`: the O(keyspace) alias build happens once
-    /// per scratch per configuration, not once per server per sweep
-    /// point.
+    /// Cached Zipf popularity keyed by `(keyspace, skew bits)`. Its
+    /// O(keyspace) alias table is built by the first key draw, so once
+    /// per scratch per configuration under independent routing (not
+    /// once per server per sweep point), and never under consistent-hash
+    /// routing, which reads only the pmf.
     zipf: Option<((u64, u64), Arc<ZipfPopularity>)>,
     /// Cached consistent-hash routing table keyed by
     /// `(keyspace, skew bits, servers, vnodes)`: the O(keyspace) ring
@@ -398,8 +399,8 @@ impl<'a> Plan<'a> {
         let params = &cfg.params;
         let mut shares = params.load().shares(params.servers())?;
         let servers = shares.len();
-        // The alias-table build is O(keyspace): a sweep must not pay it
-        // once per server per point.
+        // The popularity's alias table, built by its first draw, is
+        // O(keyspace): a sweep must not pay it once per server per point.
         let popularity = match &cfg.miss_mode {
             MissMode::FixedRatio => None,
             MissMode::CacheBacked(cc) => {

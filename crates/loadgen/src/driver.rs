@@ -165,6 +165,9 @@ pub fn run_stream_with_table(
     let gap_law = GeneralizedPareto::facebook(spec.xi, batch_rate).expect("valid gap law");
     let batch_law = GeometricBatch::new(spec.q).expect("valid batch law");
     let zipf = ZipfPopularity::new(spec.keyspace, spec.skew).expect("valid popularity");
+    // The first draw builds the alias table; take it now, from a
+    // throwaway stream, so the build does not delay the timed schedule.
+    let _ = zipf.sample_key(&mut StdRng::seed_from_u64(0));
     let mut rng = StdRng::seed_from_u64(spec.seed);
 
     // Send timestamps and per-batch key counts, in send order. The
@@ -434,6 +437,9 @@ pub struct ClosedLoopResult {
 /// Panics on invalid Zipf parameters.
 pub fn run_closed_loop(addr: SocketAddr, cfg: &ClosedLoopConfig) -> io::Result<ClosedLoopResult> {
     let zipf = ZipfPopularity::new(cfg.keyspace, cfg.skew).expect("valid popularity");
+    // Build the alias table (on its first draw) before any connection
+    // starts its clock.
+    let _ = zipf.sample_key(&mut StdRng::seed_from_u64(0));
     let zipf = Arc::new(zipf);
     let handles: Vec<_> = (0..cfg.connections)
         .map(|c| {

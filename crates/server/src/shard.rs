@@ -434,10 +434,14 @@ fn worker_loop(
                         interner.insert(key.clone(), KeyMeta { id, flags, cas });
                         ShardReply::Stored(Ok(()))
                     }
+                    // A failed set has dropped the old value from the
+                    // store; forget the key too, as after a delete.
                     Err(StoreError::ItemTooLarge { .. }) => {
+                        interner.remove(key.as_slice());
                         ShardReply::Stored(Err("SERVER_ERROR object too large for cache\r\n"))
                     }
                     Err(_) => {
+                        interner.remove(key.as_slice());
                         ShardReply::Stored(Err("SERVER_ERROR out of memory storing object\r\n"))
                     }
                 }

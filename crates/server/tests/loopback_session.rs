@@ -186,3 +186,32 @@ fn fatal_protocol_error_closes_connection_only() {
     assert_eq!(c2.line(), "OK\r\n");
     handle.join().expect("clean shutdown");
 }
+
+#[test]
+fn set_refused_as_too_large_drops_the_old_value() {
+    // The parser accepts values up to 1 MiB, but value plus item
+    // overhead must fit the largest slab chunk, so this set is refused
+    // by the store. Like memcached, the failed set must not leave the
+    // old value readable.
+    let handle = launch();
+    let mut c = Client::connect(&handle);
+    c.send(b"set k 0 0 3\r\nold\r\n");
+    assert_eq!(c.line(), "STORED\r\n");
+    let big = 1_048_560;
+    let mut frame = format!("set k 0 0 {big}\r\n").into_bytes();
+    frame.resize(frame.len() + big, b'x');
+    frame.extend_from_slice(b"\r\n");
+    c.send(&frame);
+    assert_eq!(c.line(), "SERVER_ERROR object too large for cache\r\n");
+    c.send(b"get k\r\n");
+    assert_eq!(c.line(), "END\r\n", "the old value outlived a failed set");
+    // The key is usable again afterwards.
+    c.send(b"set k 0 0 3\r\nnew\r\nget k\r\n");
+    assert_eq!(c.line(), "STORED\r\n");
+    assert_eq!(c.line(), "VALUE k 0 3\r\n");
+    assert_eq!(c.exact(5), b"new\r\n");
+    assert_eq!(c.line(), "END\r\n");
+    c.send(b"shutdown\r\n");
+    assert_eq!(c.line(), "OK\r\n");
+    handle.join().expect("clean shutdown");
+}

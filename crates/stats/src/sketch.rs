@@ -5,7 +5,7 @@
 //! replaces those buffers with a constant-size summary: values are
 //! counted in geometrically-spaced bins, so any quantile of the inserted
 //! positive values can be answered with **relative error at most
-//! `alpha`** (default 1%), and two sketches built from disjoint streams
+//! `alpha` = 1%**, and two sketches built from disjoint streams
 //! merge by plain counter addition — exactly associative and
 //! commutative, which is what makes the parallel per-server simulation
 //! bit-identical to the sequential one.
@@ -37,8 +37,15 @@
 /// this, so in practice the underflow bin only ever holds exact zeros.
 pub const MIN_POSITIVE: f64 = 1e-12;
 
-/// Default relative-error bound (1%).
-const DEFAULT_ALPHA: f64 = 0.01;
+/// The relative-error bound α (1%), shared by every sketch.
+const ALPHA: f64 = 0.01;
+
+/// The bin ratio `γ = (1+α)/(1−α)`.
+const GAMMA: f64 = (1.0 + ALPHA) / (1.0 - ALPHA);
+
+/// `ln γ`, the bin width in log space: `GAMMA.ln()` as a literal, since
+/// `ln` cannot run in a constant (a unit test checks the bits).
+const LN_GAMMA: f64 = 0.020_000_666_706_669_435;
 
 /// `raw.ceil()` clamped into `i32`, without the libm `ceil` call.
 ///
@@ -46,8 +53,7 @@ const DEFAULT_ALPHA: f64 = 0.01;
 /// runs once per pushed sample. `as i64` truncates toward zero
 /// (saturating), so rounding up exactly when the truncation landed
 /// below `raw` reproduces `raw.ceil()` — including at the saturation
-/// edges — before the clamp that guards pathological alpha-near-1
-/// configurations.
+/// edges — before the clamp into `i32`.
 #[inline]
 fn ceil_clamp(raw: f64) -> i32 {
     let t = raw as i64;
@@ -79,8 +85,6 @@ fn ceil_clamp(raw: f64) -> i32 {
 /// their vectors grew differently.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    alpha: f64,
-    ln_gamma: f64,
     /// Log-bin index of `bins[0]`.
     base: i32,
     bins: Vec<u64>,
@@ -98,27 +102,11 @@ impl Default for QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// Creates an empty sketch with the default `alpha` of 1%.
+    /// Creates an empty sketch with the relative-error bound `alpha` of
+    /// 1%.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_alpha(DEFAULT_ALPHA)
-    }
-
-    /// Creates an empty sketch with relative-error bound `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha < 1`.
-    #[must_use]
-    fn with_alpha(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "alpha must be in (0,1), got {alpha}"
-        );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
         Self {
-            alpha,
-            ln_gamma: gamma.ln(),
             base: 0,
             bins: Vec::new(),
             underflow: 0,
@@ -128,10 +116,10 @@ impl QuantileSketch {
         }
     }
 
-    /// The documented relative-error bound.
+    /// The documented relative-error bound, 1% for every sketch.
     #[must_use]
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        ALPHA
     }
 
     /// Number of samples inserted (non-finite samples are dropped and
@@ -195,7 +183,7 @@ impl QuantileSketch {
         if x < MIN_POSITIVE {
             self.underflow += 1;
         } else {
-            let idx = self.bin_index(x);
+            let idx = Self::bin_index(x);
             *self.slot(idx) += 1;
         }
     }
@@ -219,7 +207,7 @@ impl QuantileSketch {
         let mut raw = [0.0f64; CHUNK];
         for chunk in xs.chunks(CHUNK) {
             let raw = &mut raw[..chunk.len()];
-            memlat_dist::simd::sketch_bins(chunk, self.ln_gamma, MIN_POSITIVE, raw);
+            memlat_dist::simd::sketch_bins(chunk, LN_GAMMA, MIN_POSITIVE, raw);
             for (&x, &r) in chunk.iter().zip(raw.iter()) {
                 if !x.is_finite() {
                     continue;
@@ -259,17 +247,7 @@ impl QuantileSketch {
     /// Merging is exactly associative and commutative: any merge order
     /// over the same set of per-stream sketches yields a bit-identical
     /// state (and therefore identical quantile answers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sketches were built with different `alpha`.
     pub fn merge(&mut self, other: &Self) {
-        assert!(
-            (self.alpha - other.alpha).abs() < f64::EPSILON,
-            "cannot merge sketches with different alpha ({} vs {})",
-            self.alpha,
-            other.alpha
-        );
         for (i, &c) in other.bins.iter().enumerate() {
             if c != 0 {
                 *self.slot(other.base + i as i32) += c;
@@ -309,9 +287,7 @@ impl QuantileSketch {
         for (i, &c) in self.bins.iter().enumerate() {
             cum += c;
             if cum >= rank {
-                return self
-                    .representative(self.base + i as i32)
-                    .clamp(self.min, self.max);
+                return Self::representative(self.base + i as i32).clamp(self.min, self.max);
             }
         }
         self.max
@@ -324,7 +300,7 @@ impl QuantileSketch {
     /// the underflow/drop paths first ([`Self::push`] does): an index
     /// computed from those would either saturate or land below the
     /// first representable bin.
-    fn bin_index(&self, x: f64) -> i32 {
+    fn bin_index(x: f64) -> i32 {
         debug_assert!(
             x.is_finite() && x >= MIN_POSITIVE,
             "bin_index expects a finite value >= MIN_POSITIVE, got {x}"
@@ -336,18 +312,17 @@ impl QuantileSketch {
         // libm agree to ≤1 ulp, so the α-relative accuracy contract is
         // unaffected; bins can shift only for values within a ulp of a
         // bin edge, which the contract already permits.)
-        ceil_clamp(memlat_dist::simd::dln(x) / self.ln_gamma)
+        ceil_clamp(memlat_dist::simd::dln(x) / LN_GAMMA)
     }
 
     /// Midpoint representative of bin `(γ^(i−1), γ^i]`; within `alpha`
     /// relative error of every value in the bin.
-    fn representative(&self, idx: i32) -> f64 {
-        let gamma = (1.0 + self.alpha) / (1.0 - self.alpha);
-        2.0 * (f64::from(idx) * self.ln_gamma).exp() / (1.0 + gamma)
+    fn representative(idx: i32) -> f64 {
+        2.0 * (f64::from(idx) * LN_GAMMA).exp() / (1.0 + GAMMA)
     }
 }
 
-/// Logical equality: same error bound, same exact extremes, and the
+/// Logical equality: same exact extremes, and the
 /// same occupied bins with the same counts. Backing-array `base` and
 /// zero padding (which depend on insertion order) are ignored.
 impl PartialEq for QuantileSketch {
@@ -363,8 +338,7 @@ impl PartialEq for QuantileSketch {
         }
         let (self_base, self_bins) = occupied(self.base, &self.bins);
         let (other_base, other_bins) = occupied(other.base, &other.bins);
-        self.alpha == other.alpha
-            && self.count == other.count
+        self.count == other.count
             && self.underflow == other.underflow
             && self.min == other.min
             && self.max == other.max
@@ -390,9 +364,8 @@ mod tests {
     fn integer_ceil_matches_float_ceil() {
         // The cast-based ceil in `bin_index` must agree with the libm
         // formula for every reachable input, including the edges.
-        let s = QuantileSketch::new();
         let float_version = |x: f64| -> i32 {
-            let raw = (memlat_dist::simd::dln(x) / s.ln_gamma).ceil();
+            let raw = (memlat_dist::simd::dln(x) / LN_GAMMA).ceil();
             raw.clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i32
         };
         // Only the domain `push` routes here: finite and ≥ MIN_POSITIVE
@@ -405,13 +378,13 @@ mod tests {
         // Values sitting exactly on bin boundaries (integer raw),
         // staying above the MIN_POSITIVE underflow threshold.
         for i in [-1300i32, -1, 0, 1, 5000] {
-            let v = (f64::from(i) * s.ln_gamma).exp();
+            let v = (f64::from(i) * LN_GAMMA).exp();
             if v >= MIN_POSITIVE {
                 probes.push(v);
             }
         }
         for x in probes {
-            assert_eq!(s.bin_index(x), float_version(x), "x={x:e}");
+            assert_eq!(QuantileSketch::bin_index(x), float_version(x), "x={x:e}");
         }
     }
 
@@ -598,11 +571,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different alpha")]
-    fn merge_alpha_mismatch_panics() {
-        let mut a = QuantileSketch::with_alpha(0.01);
-        let b = QuantileSketch::with_alpha(0.02);
-        a.merge(&b);
+    fn ln_gamma_literal_is_the_run_time_log() {
+        let alpha = QuantileSketch::new().alpha();
+        let run_time = ((1.0 + alpha) / (1.0 - alpha)).ln();
+        assert_eq!(LN_GAMMA.to_bits(), run_time.to_bits());
+        assert_eq!(GAMMA.to_bits(), ((1.0 + alpha) / (1.0 - alpha)).to_bits());
     }
 
     #[test]

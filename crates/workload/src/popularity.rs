@@ -1,6 +1,7 @@
 //! Key popularity — the skew behind the unbalanced load distribution.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use memlat_dist::{Discrete, ParamError, Zipf};
 use rand::RngCore;
@@ -9,10 +10,13 @@ use crate::KeyId;
 
 /// Process-wide count of alias-table constructions, for asserting that
 /// sweep/simulation layers reuse cached tables instead of rebuilding a
-/// multi-megabyte table per sweep point (see [`alias_builds`]).
+/// multi-megabyte table per sweep point, and that runs which never draw
+/// from the full key space build none (see [`alias_builds`]).
 static ALIAS_BUILDS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of alias tables built by this process so far.
+/// Number of alias tables built by this process so far. A table is
+/// built by the first [`ZipfPopularity::sample_key`] call on an
+/// alias-sized population, not by its construction.
 ///
 /// Monotone counter; take a snapshot before the code under test and diff
 /// after. Tests asserting exact counts should run in their own process
@@ -22,8 +26,8 @@ pub fn alias_builds() -> u64 {
     ALIAS_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Key spaces up to this size get a precomputed alias table (one
-/// uniform, two array reads per draw); larger ones sample by
+/// Key spaces up to this size get an alias table, built by the first
+/// draw (one uniform, two array reads per draw); larger ones sample by
 /// rejection-inversion (`O(1)` per draw too, but several transcendental
 /// calls and an expected >1 uniforms each). The cutoff bounds the build
 /// cost and footprint at ~16 MB of table.
@@ -188,11 +192,19 @@ impl WeightedAlias {
 /// through a [`crate::ConsistentHashRing`] yields an emergent unbalanced
 /// `{p_j}`, the simulator's alternative to imposing shares directly.
 ///
-/// Key spaces up to 2²⁰ keys sample through a precomputed Walker alias
-/// table — one uniform and two array reads per draw; larger spaces fall
-/// back to table-free rejection-inversion. The two samplers realize the same pmf but
+/// Key spaces up to 2²⁰ keys sample through a Walker alias table — one
+/// uniform and two array reads per draw; larger spaces fall back to
+/// table-free rejection-inversion. The two samplers realize the same pmf but
 /// consume the RNG stream differently, so which one is active is a
 /// function of the key space alone, never of the call site.
+///
+/// The alias table (12 bytes per key, ~12 MB at 2²⁰ keys) is built by
+/// the first [`sample_key`](Self::sample_key) call, not by
+/// [`new`](Self::new): a population that is only read through
+/// [`access_probability`](Self::access_probability) — the
+/// consistent-hash ring walk of [`crate::RoutedKeyspace`] — never
+/// builds one. The build is `O(keys)` and happens once per population,
+/// also when several threads draw from one shared handle.
 ///
 /// # Examples
 ///
@@ -211,7 +223,9 @@ impl WeightedAlias {
 #[derive(Debug, Clone)]
 pub struct ZipfPopularity {
     zipf: Zipf,
-    alias: Option<AliasTable>,
+    /// Filled by the first draw when `uses_alias_table()`; empty forever
+    /// otherwise.
+    alias: OnceLock<AliasTable>,
 }
 
 impl ZipfPopularity {
@@ -221,9 +235,10 @@ impl ZipfPopularity {
     ///
     /// Returns [`ParamError`] for an empty key space or negative skew.
     pub fn new(keys: u64, skew: f64) -> Result<Self, ParamError> {
-        let zipf = Zipf::new(keys, skew)?;
-        let alias = (keys <= ALIAS_MAX_KEYS).then(|| AliasTable::build(&zipf));
-        Ok(Self { zipf, alias })
+        Ok(Self {
+            zipf: Zipf::new(keys, skew)?,
+            alias: OnceLock::new(),
+        })
     }
 
     /// Key-space size.
@@ -239,10 +254,11 @@ impl ZipfPopularity {
     }
 
     /// Whether draws go through the `O(1)`-uniform alias table (small
-    /// key spaces) or rejection-inversion (large ones).
+    /// key spaces) or rejection-inversion (large ones). True from
+    /// construction on, before the table is built by the first draw.
     #[must_use]
     pub fn uses_alias_table(&self) -> bool {
-        self.alias.is_some()
+        self.zipf.n() <= ALIAS_MAX_KEYS
     }
 
     /// Samples a key; hot keys (low ids) are sampled more often.
@@ -251,9 +267,12 @@ impl ZipfPopularity {
     #[inline]
     #[must_use]
     pub fn sample_key<R: RngCore + ?Sized>(&self, rng: &mut R) -> KeyId {
-        match &self.alias {
-            Some(table) => table.sample(rng),
-            None => self.zipf.sample_with(rng) - 1,
+        if self.uses_alias_table() {
+            self.alias
+                .get_or_init(|| AliasTable::build(&self.zipf))
+                .sample(rng)
+        } else {
+            self.zipf.sample_with(rng) - 1
         }
     }
 
@@ -321,7 +340,8 @@ mod tests {
         // kept and aliased mass must give the pmf back to rounding.
         let pop = ZipfPopularity::new(10_000, 1.01).unwrap();
         assert!(pop.uses_alias_table());
-        let table = pop.alias.as_ref().unwrap();
+        let _ = pop.sample_key(&mut rand::rngs::StdRng::seed_from_u64(0));
+        let table = pop.alias.get().unwrap();
         let n = table.prob.len();
         let mut implied = vec![0.0f64; n];
         for i in 0..n {
@@ -366,9 +386,24 @@ mod tests {
 
     #[test]
     fn build_counter_increments() {
+        // The counter is process-wide and other unit tests build tables
+        // concurrently, so only the table's own presence is exact.
+        let pop = ZipfPopularity::new(1_000, 1.0).unwrap();
+        assert!(pop.uses_alias_table());
         let before = alias_builds();
-        let _pop = ZipfPopularity::new(1_000, 1.0).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let _ = pop.sample_key(&mut rng);
+        assert!(pop.alias.get().is_some());
         assert!(alias_builds() > before);
+    }
+
+    #[test]
+    fn construction_alone_builds_no_table() {
+        let pop = ZipfPopularity::new(1_000, 1.0).unwrap();
+        assert!(pop.uses_alias_table());
+        assert!(pop.alias.get().is_none());
+        assert!(pop.access_probability(0) > pop.access_probability(1));
+        assert!(pop.alias.get().is_none());
     }
 
     #[test]

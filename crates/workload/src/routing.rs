@@ -46,7 +46,8 @@ use crate::KeyId;
 /// Construction walks the key space once (`O(keys)` ring lookups) and
 /// builds one [`WeightedAlias`] per server over its owned keys, so it is
 /// meant to be built once per configuration and shared (e.g. behind an
-/// `Arc`) across workers.
+/// `Arc`) across workers. It reads only the popularity law's pmf, so the
+/// [`ZipfPopularity`] it is built from never builds its own alias table.
 #[derive(Debug)]
 pub struct RoutedKeyspace {
     ring: ConsistentHashRing,
@@ -68,8 +69,15 @@ impl RoutedKeyspace {
     ///
     /// Returns [`ParamError`] if `servers` or `vnodes` is zero, or the
     /// key space is too large to walk (bounded at 2²⁴ keys — the walk is
-    /// `O(keys · log(servers · vnodes))` and the owned-key tables are
-    /// ~24 bytes per key).
+    /// `O(keys · log(servers · vnodes))` and the result keeps 20 bytes
+    /// per key: the owned id, and the alias cell's probability and
+    /// alias).
+    ///
+    /// The walk takes two passes. The first records each key's owner
+    /// (4 bytes per key, freed after the owned-key lists are filled) and
+    /// sizes every server's owned-key list exactly. The second builds
+    /// one server's sampler at a time through one reused weights
+    /// buffer, so at most one server's weights are alive at once.
     pub fn new(
         popularity: &ZipfPopularity,
         servers: usize,
@@ -89,30 +97,43 @@ impl RoutedKeyspace {
             )));
         }
         let ring = ConsistentHashRing::new(servers, vnodes);
-        let mut owned: Vec<Vec<KeyId>> = vec![Vec::new(); servers];
-        let mut weights: Vec<Vec<f64>> = vec![Vec::new(); servers];
-        let mut mass = vec![0.0f64; servers];
+        let n = usize::try_from(keys).expect("routed key space fits usize");
+        // Pass 1: every key's owner, and how many keys each server owns,
+        // so the owned-key lists are allocated at their exact size.
+        let mut owner: Vec<u32> = Vec::with_capacity(n);
+        let mut counts = vec![0usize; servers];
         for k in 0..keys {
             let j = ring.server_of(k);
-            let w = popularity.access_probability(k);
-            owned[j].push(k);
-            weights[j].push(w);
-            mass[j] += w;
+            owner.push(u32::try_from(j).expect("server index fits u32"));
+            counts[j] += 1;
+        }
+        let mut owned: Vec<Vec<KeyId>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for (k, &j) in (0..keys).zip(&owner) {
+            owned[j as usize].push(k);
+        }
+        drop(owner);
+        // Pass 2, one server at a time through one weights buffer: its
+        // mass, summed in ascending key order, and its conditional
+        // sampler.
+        let mut weights: Vec<f64> = Vec::with_capacity(counts.iter().copied().max().unwrap_or(0));
+        let mut mass = vec![0.0f64; servers];
+        let mut samplers: Vec<Option<WeightedAlias>> = Vec::with_capacity(servers);
+        for (j, keys_j) in owned.iter().enumerate() {
+            weights.clear();
+            weights.extend(keys_j.iter().map(|&k| popularity.access_probability(k)));
+            for &w in &weights {
+                mass[j] += w;
+            }
+            samplers.push(if weights.is_empty() {
+                None
+            } else {
+                Some(WeightedAlias::new(&weights)?)
+            });
         }
         // Normalize by the realized total so shares sum to exactly 1
         // even where the pmf's own normalization carries rounding.
         let total: f64 = mass.iter().sum();
         let shares: Vec<f64> = mass.iter().map(|&m| m / total).collect();
-        let samplers: Vec<Option<WeightedAlias>> = weights
-            .iter()
-            .map(|w| {
-                if w.is_empty() {
-                    Ok(None)
-                } else {
-                    WeightedAlias::new(w).map(Some)
-                }
-            })
-            .collect::<Result<_, ParamError>>()?;
         Ok(Self {
             ring,
             keys,
