@@ -305,7 +305,7 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--digest") {
         let threads: usize = args[i + 1].parse().expect("threads");
         let servers: usize = args.get(i + 2).map_or(100, |s| s.parse().expect("servers"));
-        println!("{}", determinism_digest(threads, servers));
+        println!("{}", determinism_digest(threads, servers, 0));
         return;
     }
 

@@ -135,21 +135,24 @@ pub fn lru_ring_config(duration: f64) -> SimConfig {
 }
 
 /// The determinism fingerprint: runs one fixed scaled-cluster config
-/// (`ρ = 0.70`, 50 ms, Summary retention) at `threads` worker threads
-/// and `servers` servers, and renders a FNV-1a hash of its streaming
-/// output (key count, miss ratio, per-server utilizations and Welford
-/// moments) as `digest=<hex> keys=<n>`. Identical lines across thread
-/// counts prove the per-worker shards merge deterministically; the
-/// 100-server line is pinned in `crates/bench/expected_digest.txt`.
+/// (`ρ = 0.70`, 50 ms, Summary retention) at `threads` worker threads,
+/// `servers` servers and sampling block `block` (`0` is the config
+/// default, [`SimConfig::block`]), and renders a FNV-1a hash of its
+/// streaming output (key count, miss ratio, per-server utilizations and
+/// Welford moments) as `digest=<hex> keys=<n>`. Identical lines across
+/// thread counts prove the per-worker shards merge deterministically,
+/// and across blocks that the block size is invisible; the 100-server
+/// line is pinned in `crates/bench/expected_digest.txt`.
 ///
 /// # Panics
 ///
 /// Panics if the config fails to run (it is valid by construction).
 #[must_use]
-pub fn determinism_digest(threads: usize, servers: usize) -> String {
+pub fn determinism_digest(threads: usize, servers: usize, block: usize) -> String {
     let cfg = cluster_config_m(0.70, 0.05, servers)
         .retention(Retention::Summary)
-        .threads(threads);
+        .threads(threads)
+        .block(block);
     let out = ClusterSim::run(&cfg).expect("digest config is valid");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut push = |bits: u64| {

@@ -155,6 +155,11 @@ const TAIL_FRACTION: u64 = 8;
 /// stays a normal `f64`, far inside [`dexp`]'s domain.
 const MIN_LN_PMF0: f64 = -600.0;
 
+/// Most trial counts a server tables `P{K = 0}` for (see
+/// [`Population::new`]); inversions over more trials evaluate it
+/// directly, so an enormous `n` cannot make the table enormous.
+const MAX_PMF0_TABLE: u64 = 1 << 10;
+
 /// One server's records as assembly reads them.
 struct Population<'a> {
     /// The full `s` column, read only by the below-tail fallback.
@@ -176,12 +181,16 @@ struct Population<'a> {
     odds: f64,
     /// Most trials one pmf inversion covers (see [`MIN_LN_PMF0`]).
     chunk: u64,
+    /// `pmf0[t] = P{K = 0}` for `t` trials, `dexp(t·ln_hit_p)`, for every
+    /// `t` one inversion can start from, `t ≤ min(n, chunk)`, up to
+    /// [`MAX_PMF0_TABLE`].
+    pmf0: Vec<f64>,
 }
 
 impl<'a> Population<'a> {
     /// Splits `cols` into its missed pairs and its hit tail, using
-    /// `hist` (one slot per bin) as scratch.
-    fn new(cols: &'a KeyColumns, hist: &mut [u32]) -> Self {
+    /// `hist` (one slot per bin) as scratch, for requests of `n` keys.
+    fn new(cols: &'a KeyColumns, n: u64, hist: &mut [u32]) -> Self {
         let (s, d) = (cols.s(), cols.d());
         hist.fill(0);
         let mut misses = 0;
@@ -230,6 +239,13 @@ impl<'a> Population<'a> {
                 (MIN_LN_PMF0 / ln_hit_p).max(1.0) as u64,
             )
         };
+        let pmf0 = if chunk == u64::MAX {
+            Vec::new()
+        } else {
+            (0..=n.min(chunk).min(MAX_PMF0_TABLE))
+                .map(|t| dexp(t as f64 * ln_hit_p))
+                .collect()
+        };
         Self {
             s,
             d,
@@ -240,6 +256,7 @@ impl<'a> Population<'a> {
             ln_hit_p,
             odds,
             chunk,
+            pmf0,
         }
     }
 
@@ -258,7 +275,10 @@ impl<'a> Population<'a> {
             let trials = left.min(self.chunk);
             left -= trials;
             let mut u = open_unit(rng);
-            let mut pmf = dexp(trials as f64 * self.ln_hit_p);
+            let mut pmf = match self.pmf0.get(trials as usize) {
+                Some(&p) => p,
+                None => dexp(trials as f64 * self.ln_hit_p),
+            };
             let mut k = 0;
             while u > pmf && k < trials {
                 u -= pmf;
@@ -276,7 +296,12 @@ impl<'a> Population<'a> {
     fn hit_max<R: RngCore + ?Sized>(&self, picks: u64, rng: &mut R) -> f32 {
         // U^{1/picks} is distributed as the largest of `picks` uniforms.
         let x = dexp(dln(open_unit(rng)) / picks as f64);
-        let rank = ((self.hits as f64 * x).ceil() as u64).clamp(1, self.hits);
+        // `H·x` is finite and in `[0, H]`, so the truncating cast plus a
+        // round-up is its ceiling (`f64::ceil` is a libm call on the
+        // baseline x86-64 target).
+        let hx = self.hits as f64 * x;
+        let floor = hx as u64;
+        let rank = (floor + u64::from((floor as f64) < hx)).clamp(1, self.hits);
         let below = self.hits - self.tail.len() as u64;
         if rank > below {
             return f32::from_bits(self.tail[(rank - below - 1) as usize]);
@@ -337,7 +362,7 @@ impl<'a> RequestAssembler<'a> {
         Self {
             pops: columns
                 .iter()
-                .map(|cols| Population::new(cols, &mut hist))
+                .map(|cols| Population::new(cols, n, &mut hist))
                 .collect(),
             split,
             counts: vec![0; shares.len()],
@@ -592,6 +617,65 @@ mod tests {
         let out = sim();
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
         let _ = assemble_requests_replicated(&out, 10, 10, 5, &mut rng);
+    }
+
+    /// 1 000 records with service times `1, 2, …`; record `i` missed
+    /// when `missed(i)`.
+    fn columns(missed: impl Fn(usize) -> bool) -> KeyColumns {
+        let mut cols = KeyColumns::new();
+        for i in 0..1000 {
+            cols.push_server(i as f32 + 1.0);
+            if missed(i) {
+                cols.set_db(i, 0.5);
+            }
+        }
+        cols
+    }
+
+    #[test]
+    fn pmf0_table_is_the_direct_expression_and_the_inversion_runs_past_it() {
+        let mut hist = vec![0u32; 1 << (32 - BIN_SHIFT)];
+        let table_is_direct = |pop: &Population| {
+            pop.pmf0
+                .iter()
+                .enumerate()
+                .all(|(t, &p)| p.to_bits() == dexp(t as f64 * pop.ln_hit_p).to_bits())
+        };
+        // At a miss ratio of 0.1 a chunk is ~5 700 trials, so `n` bounds
+        // the table; at 0.9 it is 260, so the chunk does.
+        let cols = columns(|i| i % 10 == 0);
+        for (n, table) in [(150, 151), (2, 3)] {
+            let pop = Population::new(&cols, n, &mut hist);
+            assert_eq!(pop.pmf0.len(), table);
+            assert!(table_is_direct(&pop), "n={n}");
+        }
+        let mostly_missed = columns(|i| i % 10 != 0);
+        let pop = Population::new(&mostly_missed, 1000, &mut hist);
+        assert_eq!(pop.chunk, 260);
+        assert_eq!(pop.pmf0.len(), 261);
+        assert!(table_is_direct(&pop));
+        // The table stops at MAX_PMF0_TABLE trials.
+        assert_eq!(
+            Population::new(&cols, u64::MAX, &mut hist).pmf0.len() as u64,
+            MAX_PMF0_TABLE + 1
+        );
+        // A population tabled for 2-key requests inverts 200 trials with
+        // `dexp` past its table: the same draws as one tabled for 200,
+        // and `Bin(200, 0.1)`'s mean.
+        let short = Population::new(&cols, 2, &mut hist);
+        let full = Population::new(&cols, 200, &mut hist);
+        let (mut a, mut b) = (
+            rand::rngs::StdRng::seed_from_u64(9),
+            rand::rngs::StdRng::seed_from_u64(9),
+        );
+        let mut total = 0;
+        for _ in 0..20_000 {
+            let k = short.missed_picks(200, &mut a);
+            assert_eq!(k, full.missed_picks(200, &mut b));
+            total += k;
+        }
+        let mean = total as f64 / 20_000.0;
+        assert!((mean - 20.0).abs() < 0.2, "mean K = {mean}");
     }
 
     #[test]

@@ -47,18 +47,18 @@ const GAMMA: f64 = (1.0 + ALPHA) / (1.0 - ALPHA);
 /// `ln` cannot run in a constant (a unit test checks the bits).
 const LN_GAMMA: f64 = 0.020_000_666_706_669_435;
 
-/// `raw.ceil()` clamped into `i32`, without the libm `ceil` call.
+/// `raw.ceil()` as an `i32`, without the libm `ceil` call.
 ///
 /// On the baseline x86-64 target `f64::ceil` is a libm call, and this
-/// runs once per pushed sample. `as i64` truncates toward zero
-/// (saturating), so rounding up exactly when the truncation landed
-/// below `raw` reproduces `raw.ceil()` — including at the saturation
-/// edges — before the clamp into `i32`.
+/// runs once per pushed sample. `as i32` truncates toward zero, so
+/// rounding up exactly when the truncation landed below `raw` is the
+/// ceiling. It is exact wherever a bin index is defined: for `x` in
+/// `[MIN_POSITIVE, f64::MAX]`, `raw = dln(x)/ln γ` lies within
+/// `±36 000`, far inside `i32`.
 #[inline]
-fn ceil_clamp(raw: f64) -> i32 {
-    let t = raw as i64;
-    let t = t.saturating_add(i64::from(raw > t as f64));
-    t.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
+fn bin_ceil(raw: f64) -> i32 {
+    let t = raw as i32;
+    t + i32::from(f64::from(t) < raw)
 }
 
 /// A mergeable quantile sketch over nonnegative samples with bounded
@@ -199,27 +199,52 @@ impl QuantileSketch {
     /// for op, so chunked insertion is bit-identical to repeated
     /// [`Self::push`] under every dispatch mode. Out-of-domain elements
     /// (non-finite, or below [`MIN_POSITIVE`]) get a placeholder lane
-    /// value that the scalar epilogue never reads — it routes them to
-    /// the drop/underflow paths first, exactly as `push` does.
+    /// value that is never read: they go to the drop/underflow paths
+    /// first, exactly as `push` does.
+    ///
+    /// Per chunk, the count, extremes and underflow tally stay in
+    /// locals, the in-domain bins are collected with their span
+    /// `[lo, hi]`, the window grows once to cover that span, and the
+    /// counters are then incremented with no window test.
     #[inline]
     pub fn push_slice(&mut self, xs: &[f64]) {
         const CHUNK: usize = 256;
         let mut raw = [0.0f64; CHUNK];
+        let mut bins = [0i32; CHUNK];
         for chunk in xs.chunks(CHUNK) {
             let raw = &mut raw[..chunk.len()];
             memlat_dist::simd::sketch_bins(chunk, LN_GAMMA, MIN_POSITIVE, raw);
+            let (mut count, mut underflow) = (0u64, 0u64);
+            let (mut min, mut max) = (self.min, self.max);
+            let (mut lo, mut hi) = (i32::MAX, i32::MIN);
+            let mut binned = 0;
             for (&x, &r) in chunk.iter().zip(raw.iter()) {
                 if !x.is_finite() {
                     continue;
                 }
-                self.count += 1;
-                self.min = self.min.min(x);
-                self.max = self.max.max(x);
+                count += 1;
+                min = min.min(x);
+                max = max.max(x);
                 if x < MIN_POSITIVE {
-                    self.underflow += 1;
+                    underflow += 1;
                 } else {
-                    *self.slot(ceil_clamp(r)) += 1;
+                    let idx = bin_ceil(r);
+                    lo = lo.min(idx);
+                    hi = hi.max(idx);
+                    bins[binned] = idx;
+                    binned += 1;
                 }
+            }
+            self.count += count;
+            self.underflow += underflow;
+            (self.min, self.max) = (min, max);
+            if binned == 0 {
+                continue;
+            }
+            self.cover(lo, hi);
+            let base = self.base;
+            for &idx in &bins[..binned] {
+                self.bins[(idx - base) as usize] += 1;
             }
         }
     }
@@ -228,18 +253,29 @@ impl QuantileSketch {
     /// bin lies outside the current `[base, base + len)` window.
     #[inline]
     fn slot(&mut self, idx: i32) -> &mut u64 {
-        if self.bins.is_empty() {
-            self.base = idx;
-            self.bins.push(0);
-        } else if idx < self.base {
-            // New minimum bin: shift existing counters up.
-            let grow = (self.base - idx) as usize;
-            self.bins.splice(0..0, std::iter::repeat_n(0, grow));
-            self.base = idx;
-        } else if (idx - self.base) as usize >= self.bins.len() {
-            self.bins.resize((idx - self.base) as usize + 1, 0);
-        }
+        self.cover(idx, idx);
         &mut self.bins[(idx - self.base) as usize]
+    }
+
+    /// Grows the dense array to cover bins `lo..=hi` (`lo ≤ hi`), which
+    /// the caller is about to count: the window only ever extends to
+    /// an occupied bin, so its first and last counters stay nonzero.
+    #[inline]
+    fn cover(&mut self, lo: i32, hi: i32) {
+        if self.bins.is_empty() {
+            self.base = lo;
+            self.bins.resize((hi - lo) as usize + 1, 0);
+            return;
+        }
+        if lo < self.base {
+            // New minimum bin: shift existing counters up.
+            let grow = (self.base - lo) as usize;
+            self.bins.splice(0..0, std::iter::repeat_n(0, grow));
+            self.base = lo;
+        }
+        if (hi - self.base) as usize >= self.bins.len() {
+            self.bins.resize((hi - self.base) as usize + 1, 0);
+        }
     }
 
     /// Folds another sketch into this one by counter addition.
@@ -312,7 +348,7 @@ impl QuantileSketch {
         // libm agree to ≤1 ulp, so the α-relative accuracy contract is
         // unaffected; bins can shift only for values within a ulp of a
         // bin edge, which the contract already permits.)
-        ceil_clamp(memlat_dist::simd::dln(x) / LN_GAMMA)
+        bin_ceil(memlat_dist::simd::dln(x) / LN_GAMMA)
     }
 
     /// Midpoint representative of bin `(γ^(i−1), γ^i]`; within `alpha`
@@ -386,6 +422,19 @@ mod tests {
         for x in probes {
             assert_eq!(QuantileSketch::bin_index(x), float_version(x), "x={x:e}");
         }
+        // The ceiling itself over the whole reachable range of `raw`:
+        // both domain ends, exact integers (bin edges) of either sign,
+        // and their neighbours one ulp away.
+        let lo = memlat_dist::simd::dln(MIN_POSITIVE) / LN_GAMMA;
+        let hi = memlat_dist::simd::dln(f64::MAX) / LN_GAMMA;
+        assert!(lo > -36_000.0 && hi < 36_000.0, "raw range [{lo}, {hi}]");
+        let mut raws = vec![lo, hi, lo.floor(), hi.ceil(), -0.0, 0.5, -0.5];
+        for k in [-1382.0f64, -1381.0, -1.0, 0.0, 1.0, 2.0, 35_489.0, 35_490.0] {
+            raws.extend([k, k.next_down(), k.next_up()]);
+        }
+        for raw in raws {
+            assert_eq!(bin_ceil(raw), raw.ceil() as i32, "raw={raw:e}");
+        }
     }
 
     #[test]
@@ -423,6 +472,48 @@ mod tests {
                     assert_eq!(scalar.min().to_bits(), block.min().to_bits());
                     assert_eq!(scalar.max().to_bits(), block.max().to_bits());
                 }
+            }
+        }
+        memlat_dist::simd::set_forced_scalar(false);
+    }
+
+    #[test]
+    fn push_slice_grows_both_ends_in_one_chunk() {
+        // Chunks that reach below `base` and above the top bin at once,
+        // into an empty sketch and into a populated one, with dropped
+        // and underflow values between the in-range ones: the window
+        // grows once per chunk, and must end equal to repeated `push`
+        // with the array exactly the occupied span.
+        let chunks: [&[f64]; 4] = [
+            &[1e-3, f64::NAN, 2e-3, 0.0, 1e-3],
+            &[
+                5e-2,
+                f64::INFINITY,
+                1e-6,
+                -2.0,
+                3e2,
+                f64::NEG_INFINITY,
+                1e-3,
+            ],
+            &[MIN_POSITIVE, 1e-13, f64::MAX, f64::NAN, 7e-1],
+            &[f64::NAN, 0.0, f64::NEG_INFINITY],
+        ];
+        for forced_scalar in [false, true] {
+            memlat_dist::simd::set_forced_scalar(forced_scalar);
+            let mut pushed = QuantileSketch::new();
+            let mut sliced = QuantileSketch::new();
+            for chunk in chunks {
+                for &x in chunk {
+                    pushed.push(x);
+                }
+                sliced.push_slice(chunk);
+                assert_eq!(sliced, pushed, "forced_scalar={forced_scalar}");
+                assert_eq!(sliced.bins, pushed.bins);
+                assert_eq!(sliced.base, pushed.base);
+                assert_eq!(sliced.bins.len(), occupied_span(&sliced));
+                assert_eq!(sliced.underflow, pushed.underflow);
+                assert_eq!(sliced.min().to_bits(), pushed.min().to_bits());
+                assert_eq!(sliced.max().to_bits(), pushed.max().to_bits());
             }
         }
         memlat_dist::simd::set_forced_scalar(false);

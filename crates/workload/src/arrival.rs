@@ -3,6 +3,11 @@
 use memlat_dist::{Continuous, Discrete, GapLaw, GeometricBatch, ParamError};
 use rand::RngCore;
 
+/// Batches a speculative fill may stage beyond the expected count left
+/// before the horizon (see [`BatchArrivals::fill_block_speculative`]).
+/// At least one, so every fill stages a batch.
+const HORIZON_SLACK: usize = 1;
+
 /// A stream of key *batches*: general i.i.d. inter-batch gaps and
 /// geometric batch sizes.
 ///
@@ -229,21 +234,22 @@ impl BatchArrivals {
         }
         let snapshot = rng.clone();
         let batch = self.batch;
-        // Near the horizon, staging past the crossing is pure waste (the
-        // tail is discarded and its draws replayed), so cap the staged
-        // batches by the expected count `e` left before the horizon, with
-        // slack for gap-law variance: about two standard deviations of a
-        // renewal count (`2√e`) plus a constant for short remainders.
-        // Proportional slack would over-generate by its fraction on every
-        // phase that fits in one fill. The cap only shrinks the
-        // effective block size — proven invisible in the output — and a
-        // short fill that neither crosses nor reaches `min_keys` just
-        // means the caller fills again from a closer clock.
+        // Every batch staged past the crossing is waste: its draws are
+        // banked, its gap transformed, and then it is discarded and the
+        // kept draws replayed from the snapshot. So stage at most the
+        // expected count `e` of batches left before the horizon plus
+        // `HORIZON_SLACK`. A fill that stops short of the crossing keeps
+        // everything it staged and needs no rewind; the caller fills
+        // again from the closer clock, and that fill's `e` is small. Any
+        // slack that scales with `e` (`2√e` or a fraction of `e`) stages
+        // that many batches past the crossing on every phase that fits
+        // in one fill, as every phase of an M = 10k run does. The cap
+        // only shrinks the effective block size, which the block-size
+        // invariance tests prove invisible in the output.
         let mean_gap = self.gaps.mean();
         let remaining = (horizon - self.clock).max(0.0);
         let cap = if mean_gap > 0.0 && mean_gap.is_finite() {
-            let expected = remaining / mean_gap;
-            ((expected + 2.0 * expected.sqrt()) as usize).saturating_add(8)
+            ((remaining / mean_gap) as usize).saturating_add(HORIZON_SLACK)
         } else {
             usize::MAX
         };

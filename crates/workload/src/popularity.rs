@@ -42,16 +42,22 @@ struct AliasTable {
 }
 
 /// Vose's `O(n)` table construction over pre-scaled masses (each cell's
-/// probability mass times `n`). Cells left on whichever worklist drains
-/// last are within rounding of exactly 1; they keep `prob = 1` and
-/// `alias = self`.
+/// probability mass times `n`), returning `(prob, alias)`.
+///
+/// `scaled` becomes `prob` in place: a cell's mass is final when it is
+/// paired (only the large cell of a pair changes), so pairing leaves it
+/// as the cell's probability. Cells left on whichever worklist drains
+/// last are within rounding of exactly 1; they get `prob = 1` and keep
+/// `alias = self`. Neither worklist ever holds more cells than it
+/// started with (each step pops one from each and pushes one back), so
+/// both are allocated once at their starting size.
 fn vose(mut scaled: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
-    let n = scaled.len();
-    let mut prob = vec![1.0f64; n];
-    let mut alias: Vec<u32> = (0..n as u32).collect();
-    let mut small: Vec<usize> = Vec::new();
-    let mut large: Vec<usize> = Vec::new();
-    for (i, &s) in scaled.iter().enumerate() {
+    let n = u32::try_from(scaled.len()).expect("alias table limited to u32::MAX cells");
+    let mut alias: Vec<u32> = (0..n).collect();
+    let smalls = scaled.iter().filter(|&&s| s < 1.0).count();
+    let mut small: Vec<u32> = Vec::with_capacity(smalls);
+    let mut large: Vec<u32> = Vec::with_capacity(scaled.len() - smalls);
+    for (i, &s) in (0..n).zip(&scaled) {
         if s < 1.0 {
             small.push(i);
         } else {
@@ -59,16 +65,19 @@ fn vose(mut scaled: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
         }
     }
     while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-        prob[s] = scaled[s];
-        alias[s] = l as u32;
-        scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-        if scaled[l] < 1.0 {
+        alias[s as usize] = l;
+        let mass = (scaled[l as usize] + scaled[s as usize]) - 1.0;
+        scaled[l as usize] = mass;
+        if mass < 1.0 {
             small.push(l);
         } else {
             large.push(l);
         }
     }
-    (prob, alias)
+    for &i in small.iter().chain(&large) {
+        scaled[i as usize] = 1.0;
+    }
+    (scaled, alias)
 }
 
 impl AliasTable {
@@ -76,8 +85,7 @@ impl AliasTable {
     fn build(zipf: &Zipf) -> Self {
         ALIAS_BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = usize::try_from(zipf.n()).expect("alias key space fits usize");
-        let scaled: Vec<f64> = (1..=zipf.n()).map(|k| zipf.pmf(k) * n as f64).collect();
-        let (prob, alias) = vose(scaled);
+        let (prob, alias) = vose((1..=zipf.n()).map(|k| zipf.pmf(k) * n as f64).collect());
         Self { prob, alias }
     }
 
@@ -151,8 +159,7 @@ impl WeightedAlias {
             return Err(ParamError::new("alias weights must have positive mass"));
         }
         let n = weights.len();
-        let scaled: Vec<f64> = weights.iter().map(|&w| w / total * n as f64).collect();
-        let (prob, alias) = vose(scaled);
+        let (prob, alias) = vose(weights.iter().map(|&w| w / total * n as f64).collect());
         Ok(Self { prob, alias })
     }
 

@@ -17,6 +17,10 @@
 //!
 //! Every run also reports the batch that crossed the horizon
 //! ([`ArrivalScratch::crossing_size`]), which must be the scalar loop's.
+//!
+//! A last test counts the work the driver spends to keep those
+//! invariants on the M = 10 000 server shape, where every phase is one
+//! fill that crosses its horizon.
 
 use memlat_dist::{
     Deterministic, Exponential, Gamma, GapLaw, GeneralizedPareto, Hyperexponential, Uniform,
@@ -24,6 +28,8 @@ use memlat_dist::{
 use memlat_workload::{ArrivalScratch, BatchArrivals};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// One of the six gap laws at batch rate `(1 − q)·rate`: the two with a
 /// bits kernel (GP, exponential) stage speculatively, the other four draw
@@ -197,4 +203,111 @@ proptest! {
             assert_runs_match(&scalar, &run, &format!("block {min_keys}"))?;
         }
     }
+}
+
+/// An RNG that counts every `next_u64` into a cell its clones share, so
+/// the count survives the driver's snapshot and rewind: it counts the
+/// staged draws, the discarded ones and the replayed ones alike.
+#[derive(Clone)]
+struct SharedCount {
+    rng: rand::rngs::StdRng,
+    draws: Rc<Cell<u64>>,
+}
+
+impl RngCore for SharedCount {
+    fn next_u64(&mut self) -> u64 {
+        self.draws.set(self.draws.get() + 1);
+        self.rng.next_u64()
+    }
+
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+}
+
+/// One server of the M = 10 000 fixed-ratio shape (ρ = 0.70 at
+/// μ = 80 000/s, so 56 000 keys/s): a warm-up phase to 2 ms with one
+/// draw per key (the service uniform), then a measured phase to 10 ms
+/// with two (service and miss uniforms), in blocks of 1 024 keys. The
+/// batch that crosses the warm-up boundary draws its keys as measured
+/// keys, as the cluster simulator's fixed-ratio lanes do. Returns the
+/// raw draws the scalar loop makes and the draws the speculative driver
+/// makes, and checks that both leave the stream at the same position.
+fn m10k_server_draws(seed: u64) -> (u64, u64) {
+    const Q: f64 = 0.1;
+    const BLOCK: usize = 1024;
+    const WARMUP: f64 = 0.002;
+    const HORIZON: f64 = 0.010;
+    let law = GapLaw::from(GeneralizedPareto::facebook(0.15, (1.0 - Q) * 56_000.0).unwrap());
+    let counted = |draws: &Rc<Cell<u64>>| SharedCount {
+        rng: rand::rngs::StdRng::seed_from_u64(seed),
+        draws: Rc::clone(draws),
+    };
+    let draw = |rng: &mut SharedCount, n: u64| {
+        for _ in 0..n {
+            rng.next_u64();
+        }
+    };
+
+    let scalar_draws = Rc::new(Cell::new(0));
+    let mut rng = counted(&scalar_draws);
+    let mut s = BatchArrivals::new(law.clone(), Q).unwrap();
+    let mut next = s.next_batch_with(&mut rng);
+    while next.0 < WARMUP {
+        draw(&mut rng, next.1);
+        next = s.next_batch_with(&mut rng);
+    }
+    while next.0 < HORIZON {
+        draw(&mut rng, 2 * next.1);
+        next = s.next_batch_with(&mut rng);
+    }
+    let scalar_next = rng.next_u64();
+
+    let spec_draws = Rc::new(Cell::new(0));
+    let mut rng = counted(&spec_draws);
+    let mut s = BatchArrivals::new(law, Q).unwrap();
+    let mut scratch = ArrivalScratch::new();
+    let mut fill = |rng: &mut SharedCount, horizon: f64, min_keys: usize, key_draws: usize| {
+        let done =
+            s.fill_block_speculative(rng, horizon, min_keys, key_draws, &mut scratch, |b, r| {
+                draw(r, b * key_draws as u64);
+            });
+        (done, s.clock(), scratch.crossing_size())
+    };
+    let (clock, crossing) = loop {
+        if let (true, clock, crossing) = fill(&mut rng, WARMUP, BLOCK, 1) {
+            break (clock, crossing.expect("a crossing fill reports its batch"));
+        }
+    };
+    if clock < HORIZON {
+        draw(&mut rng, 2 * crossing);
+        let mut min_keys = BLOCK - crossing as usize;
+        while !fill(&mut rng, HORIZON, min_keys, 2).0 {
+            min_keys = BLOCK;
+        }
+    }
+    assert_eq!(rng.next_u64(), scalar_next, "seed {seed}: stream position");
+    (scalar_draws.get(), spec_draws.get())
+}
+
+/// The staging cap's cost, counted: over 64 seeds of the M = 10 000
+/// server shape, the speculative driver makes at most 1.65× the scalar
+/// loop's raw draws (staged, discarded and replayed draws together).
+/// With the cap at the expected batch count plus one it reads 1.53×:
+/// about half the phases cross in their first fill and replay its kept
+/// draws once, and the rest stop just short and end in one or more
+/// short fills. A cap of `e + 2√e + 8` reads 2.10×: it stages ~2√e + 8
+/// batches past the crossing in every phase, then replays every kept
+/// draw.
+#[test]
+fn m10k_shape_draws_stay_near_the_scalar_count() {
+    let (mut scalar, mut spec) = (0u64, 0u64);
+    for seed in 0..64 {
+        let (a, b) = m10k_server_draws(seed);
+        scalar += a;
+        spec += b;
+    }
+    let ratio = spec as f64 / scalar as f64;
+    println!("raw draws: scalar {scalar}, speculative {spec}, ratio {ratio:.3}");
+    assert!(ratio <= 1.65, "speculative/scalar draw ratio {ratio:.3}");
 }

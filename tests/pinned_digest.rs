@@ -1,12 +1,16 @@
 //! Pinned determinism fingerprints.
 //!
 //! The fixed 100-server cluster run that `bench --digest` fingerprints
-//! must hash to the committed line at one and at four worker threads.
-//! A small consistent-hash, LRU-backed run has its own pinned value: it
-//! covers the ring walk, the per-server conditional samplers and the
-//! cache store. Any change to a sampled value, the order of draws, the
-//! key-to-server map or the shard merge moves one of them; a change
-//! that claims bit-identity must leave both alone.
+//! must hash to the committed line at one and at four worker threads,
+//! and at sampling blocks other than the default: one key (the scalar
+//! attempt path, which stages nothing speculatively) and 37 keys (many
+//! short speculative fills per phase). A small consistent-hash,
+//! LRU-backed run has its own pinned value: it covers the ring walk, the
+//! per-server conditional samplers and the cache store, and it too must
+//! read its value at block 1. Any change to a sampled value, the order
+//! of draws, the key-to-server map, the shard merge or the staging of
+//! arrivals across blocks moves one of them; a change that claims
+//! bit-identity must leave them all alone.
 
 use memlat::cluster::{
     CacheBackedConfig, CacheRouting, ClusterSim, MissMode, MissRelay, Retention, SimConfig,
@@ -19,16 +23,24 @@ fn digest_matches_the_pinned_line_at_one_and_four_threads() {
     let pinned = include_str!("../crates/bench/expected_digest.txt").trim();
     for threads in [1, 4] {
         assert_eq!(
-            determinism_digest(threads, 100),
+            determinism_digest(threads, 100, 0),
             pinned,
             "threads={threads}"
         );
     }
 }
 
+#[test]
+fn digest_matches_the_pinned_line_at_blocks_1_and_37() {
+    let pinned = include_str!("../crates/bench/expected_digest.txt").trim();
+    for block in [1, 37] {
+        assert_eq!(determinism_digest(1, 100, block), pinned, "block={block}");
+    }
+}
+
 /// FNV-1a over the routed run's outputs: the ring-induced shares, and
 /// per server the latency moments, counters and resident items.
-fn routed_lru_fingerprint(threads: usize) -> u64 {
+fn routed_lru_fingerprint(threads: usize, block: usize) -> u64 {
     let params = ModelParams::builder()
         .key_rate_per_server(200_000.0)
         .service_rate(800_000.0)
@@ -40,6 +52,7 @@ fn routed_lru_fingerprint(threads: usize) -> u64 {
         .warmup(0.03)
         .seed(0x5eed_0a11)
         .threads(threads)
+        .block(block)
         .retention(Retention::Summary)
         .miss_relay(MissRelay::Coalesced)
         .miss_mode(MissMode::CacheBacked(CacheBackedConfig {
@@ -78,10 +91,20 @@ fn routed_lru_fingerprint(threads: usize) -> u64 {
     h
 }
 
+const ROUTED_LRU_PINNED: u64 = 0x06ab_3b1e_d582_3c5e;
+
 #[test]
 fn routed_lru_run_matches_its_pinned_fingerprint_at_one_and_four_threads() {
-    const PINNED: u64 = 0x06ab_3b1e_d582_3c5e;
     for threads in [1, 4] {
-        assert_eq!(routed_lru_fingerprint(threads), PINNED, "threads={threads}");
+        assert_eq!(
+            routed_lru_fingerprint(threads, 0),
+            ROUTED_LRU_PINNED,
+            "threads={threads}"
+        );
     }
+}
+
+#[test]
+fn routed_lru_run_matches_its_pinned_fingerprint_at_block_1() {
+    assert_eq!(routed_lru_fingerprint(1, 1), ROUTED_LRU_PINNED);
 }
