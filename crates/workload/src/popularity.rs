@@ -27,19 +27,18 @@ pub fn alias_builds() -> u64 {
 }
 
 /// Key spaces up to this size get an alias table, built by the first
-/// draw (one uniform, two array reads per draw); larger ones sample by
-/// rejection-inversion (`O(1)` per draw too, but several transcendental
-/// calls and an expected >1 uniforms each). The cutoff bounds the build
-/// cost and footprint at ~16 MB of table.
+/// draw (one uniform and one 4-byte cell read per draw); larger ones
+/// sample by rejection-inversion (`O(1)` per draw too, but several
+/// transcendental calls and an expected >1 uniforms each). The cutoff
+/// bounds the build cost and footprint at ~12 MB of table.
 const ALIAS_MAX_KEYS: u64 = 1 << 20;
 
-/// Walker/Vose alias table: draw cell `i` uniformly, then return `i`
-/// itself with probability `prob[i]` and its alias otherwise.
-#[derive(Debug, Clone)]
-struct AliasTable {
-    prob: Vec<f64>,
-    alias: Vec<u32>,
-}
+/// Low bits of an alias cell that hold a label; the high 8 hold the
+/// cell's threshold `t`.
+const LABEL_BITS: u32 = 24;
+
+/// Mask of an alias cell's label bits.
+const LABEL_MASK: u32 = (1 << LABEL_BITS) - 1;
 
 /// Vose's `O(n)` table construction over pre-scaled masses (each cell's
 /// probability mass times `n`), returning `(prob, alias)`.
@@ -51,6 +50,11 @@ struct AliasTable {
 /// `alias = self`. Neither worklist ever holds more cells than it
 /// started with (each step pops one from each and pushes one back), so
 /// both are allocated once at their starting size.
+///
+/// Every `prob` lies in `[0, 1]`: it is either set to 1 or the mass a
+/// cell had when it was paired as the small one (below 1), and no mass
+/// goes negative, since a large cell's new mass is `(l + s) − 1` with
+/// `l ≥ 1`, `s ≥ 0`, and the rounded sum of those is never below 1.
 fn vose(mut scaled: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
     let n = u32::try_from(scaled.len()).expect("alias table limited to u32::MAX cells");
     let mut alias: Vec<u32> = (0..n).collect();
@@ -64,7 +68,12 @@ fn vose(mut scaled: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
             large.push(i);
         }
     }
-    while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+    // Peek before popping: popping both at once would drop the last
+    // cell of the longer list unpaired, leaving it out of the `prob = 1`
+    // pass below.
+    while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+        small.pop();
+        large.pop();
         alias[s as usize] = l;
         let mass = (scaled[l as usize] + scaled[s as usize]) - 1.0;
         scaled[l as usize] = mass;
@@ -80,40 +89,27 @@ fn vose(mut scaled: Vec<f64>) -> (Vec<f64>, Vec<u32>) {
     (scaled, alias)
 }
 
-impl AliasTable {
-    /// Builds the table from the Zipf pmf in `O(n)` (Vose's method).
-    fn build(zipf: &Zipf) -> Self {
-        ALIAS_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let n = usize::try_from(zipf.n()).expect("alias key space fits usize");
-        let (prob, alias) = vose((1..=zipf.n()).map(|k| zipf.pmf(k) * n as f64).collect());
-        Self { prob, alias }
-    }
-
-    /// Draws a 0-based key id from one uniform.
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> KeyId {
-        let n = self.prob.len();
-        let x = memlat_dist::open_unit(rng) * n as f64;
-        let i = (x as usize).min(n - 1);
-        let v = x - i as f64;
-        if v < self.prob[i] {
-            i as KeyId
-        } else {
-            KeyId::from(self.alias[i])
-        }
-    }
-}
-
 /// Walker/Vose alias sampler over an explicit non-negative weight
-/// vector: one uniform and two array reads per draw, regardless of the
-/// weight shape.
+/// vector: one uniform and one 4-byte cell read per draw (and, for one
+/// draw in 256, one 8-byte probability), regardless of the weight shape.
 ///
-/// This is the general-purpose sibling of the private Zipf alias table:
-/// it powers conditional key populations (e.g. the keys a single server
-/// owns under consistent-hash routing, see
-/// [`crate::routing::RoutedKeyspace`]) where the weights are an
-/// arbitrary subset of a pmf rather than a full Zipf law. Construction
-/// does not touch the [`alias_builds`] counter — that counter audits the
+/// A draw picks cell `i` uniformly and returns `i`'s own label with
+/// probability `prob[i]`, its alias's label otherwise. Each cell packs
+/// `t = min(⌊256·prob[i]⌋, 255)` into its top 8 bits and the alias's
+/// label into its low 24. Since `256·prob[i]` is exact in binary
+/// floating point, `t/256 ≤ prob[i] < (t + 1)/256` (for `prob[i] = 1`,
+/// every fraction below 1 is kept), so the cell alone decides every draw
+/// whose fraction falls outside that 1/256-wide band; only inside it is
+/// the exact `prob[i]` read, from a separate array that stays out of
+/// cache. The draw is the same as the textbook two-array one for every
+/// uniform.
+///
+/// A cell's own label is its index, or the label given to the
+/// crate-internal labelled constructor (the key ids of
+/// [`crate::routing::RoutedKeyspace`]'s per-server samplers); labels fit
+/// in 24 bits, so a table has at most 2²⁴ cells. The same table serves
+/// [`ZipfPopularity`]'s full-keyspace draws. Construction here does not
+/// touch the [`alias_builds`] counter — that counter audits the
 /// multi-megabyte full-keyspace tables only.
 ///
 /// # Examples
@@ -129,24 +125,64 @@ impl AliasTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WeightedAlias {
+    /// Per cell: `t` in the top 8 bits, the alias's label in the low 24.
+    cells: Vec<u32>,
+    /// Per cell: its own label, read only when the draw keeps the cell;
+    /// empty when every cell's label is its index.
+    labels: Vec<u32>,
+    /// Per cell: the exact keep probability, read only when the draw's
+    /// fraction falls in the cell's band `[t/256, (t + 1)/256)`.
     prob: Vec<f64>,
-    alias: Vec<u32>,
 }
 
 impl WeightedAlias {
     /// Builds the table from raw weights in `O(n)`; weights need not be
-    /// normalized.
+    /// normalized. Cell `i`'s label is `i`.
     ///
     /// # Errors
     ///
     /// Returns [`ParamError`] if `weights` is empty, holds a negative or
-    /// non-finite entry, sums to zero, or exceeds `u32::MAX` entries.
+    /// non-finite entry, sums to zero, or exceeds 2²⁴ entries.
     pub fn new(weights: &[f64]) -> Result<Self, ParamError> {
+        Ok(Self::pack(Self::scaled(weights)?, Vec::new()))
+    }
+
+    /// Builds the table from raw weights with cell `i` labelled
+    /// `labels[i]`, so that draws return labels rather than indices.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new), and if `labels` and `weights` differ in
+    /// length or a label does not fit in 24 bits.
+    pub(crate) fn with_labels(weights: &[f64], labels: Vec<u32>) -> Result<Self, ParamError> {
+        if labels.len() != weights.len() {
+            return Err(ParamError::new("alias labels must match the weights"));
+        }
+        if labels.iter().any(|&l| l > LABEL_MASK) {
+            return Err(ParamError::new("alias labels limited to 24 bits"));
+        }
+        Ok(Self::pack(Self::scaled(weights)?, labels))
+    }
+
+    /// The exact two-array table — `(prob, alias)`, the alias by cell
+    /// index — that [`new`](Self::new) packs. A reference for checking
+    /// the packed draw; samplers never need it.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    #[doc(hidden)]
+    pub fn exact_table(weights: &[f64]) -> Result<(Vec<f64>, Vec<u32>), ParamError> {
+        Ok(vose(Self::scaled(weights)?))
+    }
+
+    /// Validates `weights` and scales them to masses summing to `n`.
+    fn scaled(weights: &[f64]) -> Result<Vec<f64>, ParamError> {
         if weights.is_empty() {
             return Err(ParamError::new("alias weights must be non-empty"));
         }
-        if weights.len() > u32::MAX as usize {
-            return Err(ParamError::new("alias table limited to u32::MAX cells"));
+        if weights.len() > 1 << LABEL_BITS {
+            return Err(ParamError::new("alias table limited to 2^24 cells"));
         }
         let mut total = 0.0f64;
         for &w in weights {
@@ -159,34 +195,80 @@ impl WeightedAlias {
             return Err(ParamError::new("alias weights must have positive mass"));
         }
         let n = weights.len();
-        let (prob, alias) = vose(weights.iter().map(|&w| w / total * n as f64).collect());
-        Ok(Self { prob, alias })
+        Ok(weights.iter().map(|&w| w / total * n as f64).collect())
+    }
+
+    /// Runs Vose over pre-scaled masses (at most 2²⁴ of them) and packs
+    /// each alias, in place, into a cell with its threshold. `labels` is
+    /// empty (a cell's label is its index) or one 24-bit label per cell.
+    fn pack(scaled: Vec<f64>, labels: Vec<u32>) -> Self {
+        debug_assert!(scaled.len() <= 1 << LABEL_BITS);
+        let (prob, mut cells) = vose(scaled);
+        for (cell, &p) in cells.iter_mut().zip(&prob) {
+            let alias = *cell;
+            let label = labels.get(alias as usize).copied().unwrap_or(alias);
+            let t = ((p * 256.0) as u32).min(255);
+            *cell = t << LABEL_BITS | label;
+        }
+        Self {
+            cells,
+            labels,
+            prob,
+        }
     }
 
     /// Number of cells (= number of weights).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.prob.len()
+        self.cells.len()
     }
 
     /// Whether the table has no cells (never true for a built table).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
+        self.cells.is_empty()
     }
 
-    /// Draws a 0-based cell index from one uniform.
+    /// Every cell's own label, in cell order (empty when the labels are
+    /// the indices).
+    pub(crate) fn labels(&self) -> &[u32] {
+        &self.labels
+    }
+
+    /// Draws a cell's label (its index, unless labelled) from one
+    /// uniform.
     #[inline]
     #[must_use]
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        let n = self.prob.len();
-        let x = memlat_dist::open_unit(rng) * n as f64;
+        self.draw_at(memlat_dist::open_unit(rng) * self.cells.len() as f64)
+    }
+
+    /// The draw [`sample`](Self::sample) makes from the scaled uniform
+    /// `x = u·n` in `[0, n]`: cell `i = min(⌊x⌋, n − 1)`, kept iff
+    /// `x − i < prob[i]`.
+    #[doc(hidden)]
+    #[inline]
+    #[must_use]
+    pub fn draw_at(&self, x: f64) -> usize {
+        let n = self.cells.len();
         let i = (x as usize).min(n - 1);
         let v = x - i as f64;
-        if v < self.prob[i] {
+        let cell = self.cells[i];
+        let t = cell >> LABEL_BITS;
+        // `⌊256·v⌋` is exact: below `t` the fraction is under `prob[i]`,
+        // above it at or past it, and equal only inside the band.
+        let band = (v * 256.0) as u32;
+        let keep = if band == t {
+            v < self.prob[i]
+        } else {
+            band < t
+        };
+        if !keep {
+            (cell & LABEL_MASK) as usize
+        } else if self.labels.is_empty() {
             i
         } else {
-            self.alias[i] as usize
+            self.labels[i] as usize
         }
     }
 }
@@ -199,15 +281,16 @@ impl WeightedAlias {
 /// through a [`crate::ConsistentHashRing`] yields an emergent unbalanced
 /// `{p_j}`, the simulator's alternative to imposing shares directly.
 ///
-/// Key spaces up to 2²⁰ keys sample through a Walker alias table — one
-/// uniform and two array reads per draw; larger spaces fall back to
-/// table-free rejection-inversion. The two samplers realize the same pmf but
-/// consume the RNG stream differently, so which one is active is a
-/// function of the key space alone, never of the call site.
+/// Key spaces up to 2²⁰ keys sample through a [`WeightedAlias`] table —
+/// one uniform and one 4-byte cell read per draw; larger spaces fall back
+/// to table-free rejection-inversion. The two samplers realize the same
+/// pmf but consume the RNG stream differently, so which one is active is
+/// a function of the key space alone, never of the call site.
 ///
-/// The alias table (12 bytes per key, ~12 MB at 2²⁰ keys) is built by
-/// the first [`sample_key`](Self::sample_key) call, not by
-/// [`new`](Self::new): a population that is only read through
+/// The alias table (12 bytes per key, ~12 MB at 2²⁰ keys: the 4-byte
+/// cells every draw reads, and the 8-byte probabilities one draw in 256
+/// reads) is built by the first [`sample_key`](Self::sample_key) call,
+/// not by [`new`](Self::new): a population that is only read through
 /// [`access_probability`](Self::access_probability) — the
 /// consistent-hash ring walk of [`crate::RoutedKeyspace`] — never
 /// builds one. The build is `O(keys)` and happens once per population,
@@ -232,7 +315,7 @@ pub struct ZipfPopularity {
     zipf: Zipf,
     /// Filled by the first draw when `uses_alias_table()`; empty forever
     /// otherwise.
-    alias: OnceLock<AliasTable>,
+    alias: OnceLock<WeightedAlias>,
 }
 
 impl ZipfPopularity {
@@ -275,12 +358,20 @@ impl ZipfPopularity {
     #[must_use]
     pub fn sample_key<R: RngCore + ?Sized>(&self, rng: &mut R) -> KeyId {
         if self.uses_alias_table() {
-            self.alias
-                .get_or_init(|| AliasTable::build(&self.zipf))
-                .sample(rng)
+            self.alias.get_or_init(|| self.build_alias()).sample(rng) as KeyId
         } else {
             self.zipf.sample_with(rng) - 1
         }
+    }
+
+    /// Builds the alias table from the pmf in `O(n)` (Vose's method).
+    fn build_alias(&self) -> WeightedAlias {
+        ALIAS_BUILDS.fetch_add(1, Ordering::Relaxed);
+        let n = self.zipf.n();
+        WeightedAlias::pack(
+            (1..=n).map(|k| self.zipf.pmf(k) * n as f64).collect(),
+            Vec::new(),
+        )
     }
 
     /// Probability that a single access hits the given key id.
@@ -349,11 +440,11 @@ mod tests {
         assert!(pop.uses_alias_table());
         let _ = pop.sample_key(&mut rand::rngs::StdRng::seed_from_u64(0));
         let table = pop.alias.get().unwrap();
-        let n = table.prob.len();
+        let n = table.len();
         let mut implied = vec![0.0f64; n];
         for i in 0..n {
             implied[i] += table.prob[i] / n as f64;
-            implied[table.alias[i] as usize] += (1.0 - table.prob[i]) / n as f64;
+            implied[(table.cells[i] & LABEL_MASK) as usize] += (1.0 - table.prob[i]) / n as f64;
         }
         for (i, &m) in implied.iter().enumerate() {
             let exact = pop.access_probability(i as u64);
@@ -459,6 +550,54 @@ mod tests {
         assert!(WeightedAlias::new(&[1.0, -0.5]).is_err());
         assert!(WeightedAlias::new(&[1.0, f64::NAN]).is_err());
         assert!(WeightedAlias::new(&[f64::INFINITY]).is_err());
+    }
+
+    /// Fractions where a packed cell and the exact probability could
+    /// disagree: both band edges, the probability itself, and 0 and 1.
+    fn probe_fractions(p: f64) -> [f64; 5] {
+        let t = (p * 256.0).floor().min(255.0);
+        [0.0, p, t / 256.0, (t + 1.0) / 256.0, 1.0]
+    }
+
+    #[test]
+    fn zipf_table_draws_match_the_exact_two_array_draw() {
+        let pop = ZipfPopularity::new(3_000, 0.99).unwrap();
+        let _ = pop.sample_key(&mut rand::rngs::StdRng::seed_from_u64(0));
+        let table = pop.alias.get().unwrap();
+        let n = pop.keys();
+        let (prob, alias) = vose((1..=n).map(|k| pop.zipf.pmf(k) * n as f64).collect());
+        assert_eq!(table.prob, prob);
+        for (i, &p) in prob.iter().enumerate() {
+            assert!((0.0..=1.0).contains(&p), "cell {i}: prob {p}");
+            for v in probe_fractions(p) {
+                let x = i as f64 + v;
+                let j = (x as usize).min(prob.len() - 1);
+                let exact = if x - (j as f64) < prob[j] {
+                    j
+                } else {
+                    alias[j] as usize
+                };
+                assert_eq!(table.draw_at(x), exact, "cell {i} fraction {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn labelled_draws_return_the_labels_of_unlabelled_draws() {
+        let weights = [0.5, 0.0, 7.0, 1.5, 2.0, 0.25];
+        let labels: Vec<u32> = vec![3, 8, 9, 40, 1 << 20, (1 << 24) - 1];
+        let plain = WeightedAlias::new(&weights).unwrap();
+        let labelled = WeightedAlias::with_labels(&weights, labels.clone()).unwrap();
+        assert_eq!(labelled.labels(), labels.as_slice());
+        assert!(plain.labels().is_empty());
+        for i in 0..weights.len() {
+            for v in probe_fractions(plain.prob[i]) {
+                let x = i as f64 + v;
+                assert_eq!(labelled.draw_at(x), labels[plain.draw_at(x)] as usize);
+            }
+        }
+        assert!(WeightedAlias::with_labels(&[1.0], vec![1 << 24]).is_err());
+        assert!(WeightedAlias::with_labels(&[1.0, 2.0], vec![0]).is_err());
     }
 
     #[test]

@@ -44,9 +44,9 @@ use crate::KeyId;
 /// samplers.
 ///
 /// Construction walks the key space once (`O(keys)` ring lookups) and
-/// builds one [`WeightedAlias`] per server over its owned keys, so it is
-/// meant to be built once per configuration and shared (e.g. behind an
-/// `Arc`) across workers. It reads only the popularity law's pmf, so the
+/// builds one [`WeightedAlias`] per server over its owned keys, labelled
+/// by key id, so it is meant to be built once per configuration and
+/// shared (e.g. behind an `Arc`) across workers. It reads only the popularity law's pmf, so the
 /// [`ZipfPopularity`] it is built from never builds its own alias table.
 #[derive(Debug)]
 pub struct RoutedKeyspace {
@@ -55,9 +55,8 @@ pub struct RoutedKeyspace {
     skew: f64,
     vnodes: usize,
     shares: Vec<f64>,
-    /// Per server: owned key ids, ascending; alias cells index into this.
-    owned: Vec<Vec<KeyId>>,
-    /// Per server: conditional sampler over `owned` (None iff no keys).
+    /// Per server: conditional sampler over its owned keys, whose cell
+    /// labels are the owned key ids, ascending (None iff no keys).
     samplers: Vec<Option<WeightedAlias>>,
 }
 
@@ -68,10 +67,11 @@ impl RoutedKeyspace {
     /// # Errors
     ///
     /// Returns [`ParamError`] if `servers` or `vnodes` is zero, or the
-    /// key space is too large to walk (bounded at 2²⁴ keys — the walk is
-    /// `O(keys · log(servers · vnodes))` and the result keeps 20 bytes
-    /// per key: the owned id, and the alias cell's probability and
-    /// alias).
+    /// key space is too large to walk (bounded at 2²⁴ keys, so a key id
+    /// fits an alias cell's 24-bit label — the walk is
+    /// `O(keys · log(servers · vnodes))` and the result keeps 16 bytes
+    /// per key: the alias cell, the key's own id, and the cell's exact
+    /// probability).
     ///
     /// The walk takes two passes. The first records each key's owner
     /// (4 bytes per key, freed after the owned-key lists are filled) and
@@ -99,7 +99,8 @@ impl RoutedKeyspace {
         let ring = ConsistentHashRing::new(servers, vnodes);
         let n = usize::try_from(keys).expect("routed key space fits usize");
         // Pass 1: every key's owner, and how many keys each server owns,
-        // so the owned-key lists are allocated at their exact size.
+        // so the owned-key lists are allocated at their exact size. Key
+        // ids fit `u32` under the bound above.
         let mut owner: Vec<u32> = Vec::with_capacity(n);
         let mut counts = vec![0usize; servers];
         for k in 0..keys {
@@ -107,27 +108,31 @@ impl RoutedKeyspace {
             owner.push(u32::try_from(j).expect("server index fits u32"));
             counts[j] += 1;
         }
-        let mut owned: Vec<Vec<KeyId>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (k, &j) in (0..keys).zip(&owner) {
+        let mut owned: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for (k, &j) in (0u32..).zip(&owner) {
             owned[j as usize].push(k);
         }
         drop(owner);
         // Pass 2, one server at a time through one weights buffer: its
         // mass, summed in ascending key order, and its conditional
-        // sampler.
+        // sampler, which takes over the owned-key list as its labels.
         let mut weights: Vec<f64> = Vec::with_capacity(counts.iter().copied().max().unwrap_or(0));
         let mut mass = vec![0.0f64; servers];
         let mut samplers: Vec<Option<WeightedAlias>> = Vec::with_capacity(servers);
-        for (j, keys_j) in owned.iter().enumerate() {
+        for (j, keys_j) in owned.into_iter().enumerate() {
             weights.clear();
-            weights.extend(keys_j.iter().map(|&k| popularity.access_probability(k)));
+            weights.extend(
+                keys_j
+                    .iter()
+                    .map(|&k| popularity.access_probability(KeyId::from(k))),
+            );
             for &w in &weights {
                 mass[j] += w;
             }
             samplers.push(if weights.is_empty() {
                 None
             } else {
-                Some(WeightedAlias::new(&weights)?)
+                Some(WeightedAlias::with_labels(&weights, keys_j)?)
             });
         }
         // Normalize by the realized total so shares sum to exactly 1
@@ -140,7 +145,6 @@ impl RoutedKeyspace {
             skew: popularity.skew(),
             vnodes,
             shares,
-            owned,
             samplers,
         })
     }
@@ -182,15 +186,20 @@ impl RoutedKeyspace {
         self.ring.server_of(key)
     }
 
-    /// The keys a server owns, in ascending id order.
+    /// The keys a server owns, in ascending id order. Ids are stored as
+    /// `u32` (the key space is bounded at 2²⁴ keys); widen with
+    /// [`KeyId::from`].
     #[must_use]
-    pub fn owned_keys(&self, server: usize) -> &[KeyId] {
-        &self.owned[server]
+    pub fn owned_keys(&self, server: usize) -> &[u32] {
+        self.samplers[server]
+            .as_ref()
+            .map_or(&[], WeightedAlias::labels)
     }
 
     /// Draws a key from the server's conditional popularity law
     /// (`P(k) / p_j` over its owned keys), consuming exactly one
-    /// `next_u64` from `rng`.
+    /// `next_u64` from `rng` and one 4-byte alias cell (see
+    /// [`WeightedAlias`]).
     ///
     /// # Panics
     ///
@@ -202,7 +211,7 @@ impl RoutedKeyspace {
         let sampler = self.samplers[server]
             .as_ref()
             .expect("zero-share server received a key draw");
-        self.owned[server][sampler.sample(rng)]
+        sampler.sample(rng) as KeyId
     }
 }
 

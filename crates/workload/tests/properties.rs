@@ -4,7 +4,7 @@ use memlat_dist::GeneralizedPareto;
 use memlat_workload::{
     arrival::BatchArrivals,
     placement::{induced_shares, ConsistentHashRing},
-    ZipfPopularity,
+    WeightedAlias, ZipfPopularity,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -146,5 +146,100 @@ proptest! {
             test.passes(1e-6),
             "χ² = {:.2}, p = {:.2e} over {} bins", test.statistic, test.p_value, head + 1
         );
+    }
+}
+
+/// The textbook two-array alias draw from the scaled uniform `x = u·n`:
+/// cell `i = min(⌊x⌋, n − 1)`, kept iff `x − i < prob[i]`, else its
+/// alias. The reference the packed [`WeightedAlias`] draw must match.
+fn exact_alias_draw(prob: &[f64], alias: &[u32], x: f64) -> usize {
+    let n = prob.len();
+    let i = (x as usize).min(n - 1);
+    if x - (i as f64) < prob[i] {
+        i
+    } else {
+        alias[i] as usize
+    }
+}
+
+/// The neighbouring doubles of a non-negative `f` (only the upper one at
+/// zero).
+fn neighbours(f: f64) -> Vec<f64> {
+    let bits = f.to_bits();
+    let mut out = vec![f64::from_bits(bits + 1)];
+    if f > 0.0 {
+        out.push(f64::from_bits(bits - 1));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The packed alias draw (one 4-byte cell: an 8-bit threshold `t`
+    /// and the alias label, with the exact probability read only in the
+    /// band `[t/256, (t + 1)/256)`) returns the same cell as the exact
+    /// two-array draw, on every cell, at every fraction where the two
+    /// could part: the band edges, `prob` itself, their neighbouring
+    /// doubles, zero, a random fraction, and `x = n` (a uniform that
+    /// rounds up to the last cell's far edge). Weights include zeros
+    /// and, in about half the cases, one dominant weight. Every Vose
+    /// probability lies in `[0, 1]`, and seeded draws agree too.
+    #[test]
+    fn packed_alias_draw_matches_the_exact_two_array_draw(
+        weights in proptest::collection::vec(
+            (0.0f64..10.0).prop_map(|w| if w < 3.0 { 0.0 } else { w }),
+            1..64,
+        ),
+        dominant in proptest::option::of((0usize..64, 3.0f64..12.0)),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut weights = weights;
+        let len = weights.len();
+        if let Some((i, exp)) = dominant {
+            weights[i % len] = 10f64.powf(exp);
+        }
+        if weights.iter().all(|&w| w == 0.0) {
+            weights[seed as usize % len] = 1.0;
+        }
+        let table = WeightedAlias::new(&weights).unwrap();
+        let (prob, alias) = WeightedAlias::exact_table(&weights).unwrap();
+        let n = prob.len();
+        prop_assert_eq!(table.len(), n);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for (i, &p) in prob.iter().enumerate() {
+            prop_assert!((0.0..=1.0).contains(&p), "cell {} prob {}", i, p);
+            let t = (p * 256.0).floor().min(255.0);
+            let mut fractions = vec![
+                0.0,
+                p,
+                t / 256.0,
+                (t + 1.0) / 256.0,
+                memlat_dist::open_unit(&mut rng),
+            ];
+            for f in fractions.clone() {
+                fractions.extend(neighbours(f));
+            }
+            for v in fractions.into_iter().filter(|&v| v <= 1.0) {
+                let x = i as f64 + v;
+                prop_assert_eq!(
+                    table.draw_at(x),
+                    exact_alias_draw(&prob, &alias, x),
+                    "cell {} fraction {} prob {}", i, v, p
+                );
+            }
+        }
+        // A uniform just below 1, scaled, rounds to `n` for many `n`;
+        // `x = n` itself is the clamped edge.
+        let below_one = f64::from_bits(1f64.to_bits() - 1);
+        for x in [below_one * n as f64, n as f64] {
+            prop_assert_eq!(table.draw_at(x), exact_alias_draw(&prob, &alias, x), "x {}", x);
+        }
+        let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = rand::rngs::StdRng::seed_from_u64(seed);
+        for _ in 0..256 {
+            let x = memlat_dist::open_unit(&mut b) * n as f64;
+            prop_assert_eq!(table.sample(&mut a), exact_alias_draw(&prob, &alias, x));
+        }
     }
 }

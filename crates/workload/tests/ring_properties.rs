@@ -97,7 +97,7 @@ proptest! {
         let mut seen = vec![false; keys as usize];
         for j in 0..m {
             let mut mass = 0.0;
-            for &k in routed.owned_keys(j) {
+            for k in routed.owned_keys(j).iter().map(|&k| u64::from(k)) {
                 prop_assert_eq!(ring.server_of(k), j);
                 prop_assert!(!seen[k as usize], "key {} owned twice", k);
                 seen[k as usize] = true;
